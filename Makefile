@@ -3,7 +3,7 @@
 # (compile cache + single-flight, parallel sweeps, the sharded loop
 # scheduler, pooled interpreter frames, the lock-free machine counters,
 # the observability sinks, the backend registry), a bounded fuzz smoke
-# over the vm, scheduler, and conformance property targets, the
+# over the vm, scheduler, scalar-op, and conformance property targets, the
 # grammar-driven conformance suite, the persistent-cache cold/warm gate,
 # the native-vs-vm differential, the adaptive-planner cold/warm gate, the
 # benchmark regression diff, and the package-documentation check.
@@ -42,8 +42,10 @@ fuzz:
 		echo "fuzz $$t ($(FUZZTIME))"; \
 		$(GO) test -run xxx -fuzz "^$$t$$" -fuzztime $(FUZZTIME) ./internal/vm || exit 1; \
 	done
-	@echo "fuzz FuzzShardBounds ($(FUZZTIME))"; \
-	$(GO) test -run xxx -fuzz "^FuzzShardBounds$$" -fuzztime $(FUZZTIME) ./internal/kernelc
+	@for t in FuzzShardBounds FuzzScalarOpsAgree; do \
+		echo "fuzz $$t ($(FUZZTIME))"; \
+		$(GO) test -run xxx -fuzz "^$$t$$" -fuzztime $(FUZZTIME) ./internal/kernelc || exit 1; \
+	done
 	@for t in FuzzConformGen FuzzConformReplay; do \
 		echo "fuzz $$t ($(FUZZTIME))"; \
 		$(GO) test -run xxx -fuzz "^$$t$$" -fuzztime $(FUZZTIME) ./internal/conform || exit 1; \

@@ -10,6 +10,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/hotspot"
+	"repro/internal/ir"
+	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/machine"
 	"repro/internal/vm"
@@ -73,5 +76,39 @@ func TestFig6aEstimateSteadyStateZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state estimate allocates %.3f allocs/op, want 0", allocs)
+	}
+}
+
+// TestJavaLaneSteadyStateZeroAlloc: the simulated HotSpot baseline — the
+// lane behind most of Figure 6b's wall time — runs the same compiled
+// interpreter programs as the LMS kernels. A steady-state invocation of
+// the triple-loop and blocked MMM methods, at the C2 tier (SLP body) and
+// the interpreter tier (scalar body), must allocate nothing.
+func TestJavaLaneSteadyStateZeroAlloc(t *testing.T) {
+	const n = 64
+	jvm := hotspot.NewVM(isa.Haswell)
+	for _, build := range []func(isa.FeatureSet) *ir.Func{kernels.JavaMMMTriple, kernels.JavaMMMBlocked} {
+		method, err := jvm.Load(build(jvm.Arch.Features))
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := vm.PinF32(make([]float32, n*n))
+		b := vm.PinF32(make([]float32, n*n))
+		c := vm.PinF32(make([]float32, n*n))
+		args := []vm.Value{vm.PtrValue(a, 0), vm.PtrValue(b, 0), vm.PtrValue(c, 0), vm.IntValue(n)}
+		for _, tier := range []hotspot.Tier{hotspot.TierC2, hotspot.TierInterpreter} {
+			// Warmup: frame-pool growth and counter key insertion.
+			if _, err := method.InvokeAt(tier, args...); err != nil {
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(10, func() {
+				if _, err := method.InvokeAt(tier, args...); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%s at %v allocates %.3f allocs/op, want 0", method.Name, tier, allocs)
+			}
+		}
 	}
 }

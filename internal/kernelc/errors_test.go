@@ -69,20 +69,37 @@ func TestConvKinds(t *testing.T) {
 		{vm.F32Value(float32(1e18)), ir.TI8, int64(int8(int64(999999984306749440) & 0xFF))},
 	}
 	for _, c := range cases {
-		got := convert(c.from, c.to)
+		got := convertStaged(t, c.from, c.to)
 		if got.AsInt() != c.want {
 			t.Errorf("convert(%v → %v) = %d, want %d", c.from, c.to, got.AsInt(), c.want)
 		}
 	}
 	// NaN converts to 0.
-	nan := convert(vm.Value{Kind: ir.KindF64, F: nanF()}, ir.TI32)
+	nan := convertStaged(t, vm.Value{Kind: ir.KindF64, F: nanF()}, ir.TI32)
 	if nan.AsInt() != 0 {
 		t.Errorf("NaN conversion = %d", nan.AsInt())
 	}
-	b := convert(vm.IntValue(7), ir.TBool)
+	b := convertStaged(t, vm.IntValue(7), ir.TBool)
 	if !b.B {
 		t.Error("nonzero → bool failed")
 	}
+}
+
+// convertStaged runs one staged conversion of v (typed by its kind) to
+// type to through the compiled evaluator.
+func convertStaged(t *testing.T, v vm.Value, to ir.Type) vm.Value {
+	t.Helper()
+	f := ir.NewFunc("conv", ir.Type{Kind: v.Kind})
+	f.G.Root().Result = f.G.Conv(f.Params[0], to)
+	p, err := Compile(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := p.Run(haswell(), v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 func nanF() float64 {

@@ -6,11 +6,19 @@
 // compile, while this package makes the very same graph runnable and
 // countable inside the reproduction.
 //
-// Compilation is a single pass over the schedule: every live node
-// becomes one closure over a virtual register frame. Dynamic instruction
-// counts (per intrinsic name, plus scalar.* pseudo-ops for the host-
-// language constructs) accumulate in the machine's Counter, which the
-// analytical cost model converts to cycles.
+// Compilation is a single pass over the schedule. Node types are static
+// in the IR, so every value gets its register class at compile time:
+// scalars (integers, floats, bools, pointer plus displacement) live
+// unboxed in a compact scalar file, SIMD registers in a vector file of
+// vm.Values. Every live node becomes exactly one destination-passing
+// closure that reads its operands in place and writes only its own
+// result fields. Values are boxed into vm.Value only at the boundaries:
+// Program.Run's arguments and result, and intrinsic operands, which are
+// gathered field by field into the frame's operand arena because the vm
+// intrinsic ABI takes a []vm.Value. Dynamic instruction counts (per
+// intrinsic name, plus scalar.* pseudo-ops for the host-language
+// constructs) accumulate in the machine's Counter, which the analytical
+// cost model converts to cycles.
 //
 // Several compile-time optimisations keep the interpreter off the
 // profile without changing any observable count or result:
@@ -18,29 +26,28 @@
 //   - Static count batching: the per-op increments inside a straight-line
 //     block are a fixed multiset, so loops add (key, n·iters) once per
 //     loop execution instead of per iteration.
-//   - Superinstruction fusion: a value produced by one node and consumed
-//     exactly once by the immediately following node (load→op, op→store
-//     and friends) is passed directly instead of through a register,
-//     collapsing two closure dispatches into one. Fusion composes
-//     transitively into full load→op→…→store chains; FusedChains counts
-//     the chains of length ≥ 3.
-//   - Frame pooling: register frames and intrinsic-argument scratch are
+//   - Superinstruction fusion: a vector intrinsic whose result is used
+//     exactly once, by the immediately following intrinsic, evaluates
+//     straight into that consumer's operand slot instead of through a
+//     register, and runs inside the consumer's dispatch. Fusion composes
+//     transitively into load→op→…→store chains; FusedChains counts the
+//     chains of length ≥ 3.
+//   - Frame pooling and constant preloading: register frames are
 //     recycled through a sync.Pool, so steady-state Run does not
-//     allocate. Programs are safe to Run concurrently; each Run owns a
-//     private frame. The scratch region doubles as the per-frame vector
-//     arena: fused intermediates live there and are overwritten (reset)
-//     on every loop iteration instead of being reallocated.
+//     allocate. Constants, and the kinds of every operand-arena slot, are
+//     written once when a frame is built, never per execution. Programs
+//     are safe to Run concurrently; each Run owns a private frame.
 //   - The loop-nest optimizer (Options.Optimize, see optimize.go):
 //     loop-invariant scalar defs are hoisted out of loop bodies and run
 //     once at loop entry, affine i32 functions of the induction variable
 //     (base + i*stride address math) are strength-reduced to one
-//     incremental add per iteration, and evaluation is destination-
-//     passing — node results are written straight into their register
-//     (vm.Intrinsic.FnInto) instead of being copied through a returned
-//     vm.Value. Dynamic counts are preserved exactly: hoisted and
-//     strength-reduced nodes keep their entries in the body's static
-//     count vector, so the cost model — and therefore every figure —
-//     sees the identical op stream.
+//     incremental add per iteration, and loops proven independent carry
+//     a plan for the sharded driver (par.go). Both tiers share the
+//     evaluator and the loop driver; the optimizer only decides which
+//     nodes run per iteration. Dynamic counts are preserved exactly:
+//     hoisted and strength-reduced nodes keep their entries in the
+//     body's static count vector, so the cost model — and therefore
+//     every figure — sees the identical op stream.
 package kernelc
 
 import (
@@ -77,13 +84,14 @@ const (
 
 // Options selects the interpreter's compile-time optimisation passes.
 // The zero value disables everything; use DefaultOptions (or Compile)
-// for the shipping configuration.
+// for the shipping configuration. Every configuration lowers to the same
+// destination-passing evaluator.
 type Options struct {
-	// Fuse enables superinstruction fusion (PR 1).
+	// Fuse enables superinstruction fusion of vector intrinsic chains.
 	Fuse bool
 	// Optimize enables the loop-nest optimizer: loop-invariant code
-	// motion, strength reduction of affine induction-variable math, and
-	// destination-passing evaluation (see optimize.go).
+	// motion, strength reduction of affine induction-variable math (see
+	// optimize.go), and the parallel loop plan (see par.go).
 	Optimize bool
 }
 
@@ -98,8 +106,9 @@ type Tier int
 const (
 	// TierOpt is the default: fusion plus the loop-nest optimizer.
 	TierOpt Tier = iota
-	// TierPlain is the PR-1-era pipeline: fusion only, no loop-nest
-	// optimizer. Differential tests diff it against TierOpt.
+	// TierPlain is the same evaluator with the loop-nest optimizer off
+	// (fusion only). Differential tests diff it against TierOpt, which
+	// isolates the optimizer.
 	TierPlain
 	// TierAuto defers the tier choice to the execution planner
 	// (internal/plan): core compiles both tier programs under one
@@ -136,13 +145,16 @@ func (t Tier) Options() Options {
 
 // Program is a compiled kernel.
 type Program struct {
-	F          *ir.Func
-	nRegs      int
-	scratchLen int   // intrinsic-argument scratch, one region per call site
-	params     []int // register slot per parameter
+	F *ir.Func
+	// sInit and vInit are the register-file images every frame starts
+	// from: constants preloaded in the scalar file, operand-arena kinds
+	// and constant operands preloaded in the vector file.
+	sInit      []sreg
+	vInit      []vm.Value
+	params     []reg // register per parameter
 	ops        []op
 	rootCounts []countDelta // static op counts of the root block
-	result     *argRef
+	result     *reg
 	fused      int // superinstructions formed
 	hoisted    int // loop-invariant nodes moved to loop entry
 	strength   int // induction-variable nodes reduced to incremental adds
@@ -188,11 +200,12 @@ func ResetPoolStats() {
 	poolNews.Store(0)
 }
 
-// Vector-arena traffic across all programs: resets counts how many
-// times a loop iteration recycled its frame's scratch arena in place
-// (one per iteration of every loop an optimized program runs), slots
-// counts the arena capacity compiled into programs. Both feed the
-// obs gauges vec.arena.resets / vec.arena.slots.
+// Operand-arena traffic across all programs: resets counts how many
+// times a loop iteration recycled its frame's operand arena in place
+// (one per iteration of every loop a program runs), slots counts the
+// arena capacity — vm.Value-sized intrinsic operand slots — compiled
+// into programs. Both feed the obs gauges vec.arena.resets /
+// vec.arena.slots.
 var (
 	arenaResets atomic.Int64
 	arenaSlots  atomic.Int64
@@ -210,27 +223,97 @@ func ResetArenaStats() {
 	arenaSlots.Store(0)
 }
 
+// sreg is one unboxed scalar register. Which field holds the payload is
+// fixed by the value's static type: integers in i (signed kinds
+// sign-extended, unsigned kinds zero-extended from their width), bools
+// in i as 0 or 1, floats in f (f32 values rounded to float32), and
+// pointers as mem plus an element displacement in i.
+type sreg struct {
+	i   int64
+	f   float64
+	mem *vm.Buffer
+}
+
+// reg names a register: an index into the vector file for KindVec
+// values, into the scalar file for everything else.
+type reg struct {
+	idx  int
+	kind ir.Kind
+}
+
+func (r reg) vec() bool { return r.kind == ir.KindVec }
+
 type frame struct {
-	regs    []vm.Value
-	scratch []vm.Value
-	m       *vm.Machine
+	s []sreg     // scalar file
+	v []vm.Value // vector file: vector registers and the operand arena
+	m *vm.Machine
 	// arena accumulates loop-iteration arena reuses during one Run and
 	// is flushed to arenaResets when the frame is returned to the pool.
 	arena int64
-	// sink absorbs the unused destination of void destination-passing
-	// ops (stores).
+	// sink absorbs the unused destination of void intrinsics (stores).
 	sink vm.Value
 }
 
+// move copies one register to another of the same class. Vector
+// registers are only ever read through their V field, so that is all a
+// move carries.
+func (fr *frame) move(dst, src reg) {
+	if dst.vec() {
+		fr.v[dst.idx].V = fr.v[src.idx].V
+		return
+	}
+	fr.s[dst.idx] = fr.s[src.idx]
+}
+
+// unbox stores a boxed value into its register (Run's arguments).
+func (fr *frame) unbox(r reg, v *vm.Value) {
+	if r.vec() {
+		fr.v[r.idx] = *v
+		return
+	}
+	fr.s[r.idx] = toScalar(r.kind, v)
+}
+
+// box materialises a register as a vm.Value of its static kind (Run's
+// result).
+func (fr *frame) box(r reg) vm.Value {
+	if r.vec() {
+		return vm.VecValue(fr.v[r.idx].V)
+	}
+	return fromScalar(r.kind, fr.s[r.idx])
+}
+
+// toScalar unboxes a value into the register representation of kind k.
+func toScalar(k ir.Kind, v *vm.Value) sreg {
+	switch {
+	case k == ir.KindPtr:
+		return sreg{i: int64(v.Off), mem: v.Mem}
+	case k == ir.KindBool:
+		return sreg{i: b2i(v.B)}
+	case isFloatKind(k):
+		return sreg{f: v.AsFloat()}
+	default:
+		return sreg{i: v.AsInt()}
+	}
+}
+
+// fromScalar boxes a scalar register of kind k.
+func fromScalar(k ir.Kind, r sreg) vm.Value {
+	switch {
+	case k == ir.KindPtr:
+		return vm.Value{Kind: k, Mem: r.mem, Off: int(r.i)}
+	case k == ir.KindBool:
+		return vm.Value{Kind: k, B: r.i != 0}
+	case isFloatKind(k):
+		return vm.Value{Kind: k, F: r.f}
+	case isUnsignedKind(k):
+		return vm.Value{Kind: k, U: uint64(r.i)}
+	default:
+		return vm.Value{Kind: k, I: r.i}
+	}
+}
+
 type op func(fr *frame) error
-
-// evalFn produces one node's value (the zero Value for void nodes).
-type evalFn func(fr *frame) (vm.Value, error)
-
-// evalIntoFn is the destination-passing form: the node's value is
-// written into *out (void nodes leave it untouched), avoiding a copy of
-// the 112-byte vm.Value through a return.
-type evalIntoFn func(fr *frame, out *vm.Value) error
 
 // countDelta is one entry of a block's static count vector: executing
 // the block's straight-line ops once adds n to key.
@@ -239,95 +322,52 @@ type countDelta struct {
 	n   int64
 }
 
-// inline requests that a fused producer's evaluator replace the
-// consumer's argument at position pos. evalInto, when non-nil, lets the
-// consumer evaluate the producer straight into its scratch-arena slot.
-type inline struct {
-	pos      int
-	eval     evalFn
-	evalInto evalIntoFn
-	chain    int // producers already folded into this evaluator
-}
-
 // valNode is a compiled simple (non-control) node, held back briefly by
 // compileBlock so the next node may fuse it.
 type valNode struct {
-	eval evalFn
-	// evalInto, when non-nil, is the destination-passing fast path used
-	// by the optimized tier in place of eval.
-	evalInto evalIntoFn
-	void     bool
-	dst      int
-	counts   []countDelta
-	sym      ir.Sym
-	chain    int // fused producers folded into this node
+	// op evaluates the node into its own register (void nodes: into
+	// the frame sink). It is nil for vector-valued intrinsics until
+	// their destination is settled.
+	op op
+	// into, for vector-valued intrinsics, builds the evaluator writing
+	// the result into an arbitrary vector-file slot: the node's own
+	// register, or the operand slot of a consumer it fuses into.
+	into   func(slot int) op
+	counts []countDelta
+	sym    ir.Sym
+	chain  int // fused producers folded into this node
 }
 
-// asOp finalises a node that was not fused away.
-func (v *valNode) asOp() op {
-	if v.evalInto != nil {
-		into := v.evalInto
-		if v.void {
-			return func(fr *frame) error {
-				return into(fr, &fr.sink)
-			}
-		}
-		dst := v.dst
-		return func(fr *frame) error {
-			return into(fr, &fr.regs[dst])
-		}
-	}
-	eval := v.eval
-	if v.void {
-		return func(fr *frame) error {
-			_, err := eval(fr)
-			return err
-		}
-	}
-	dst := v.dst
-	return func(fr *frame) error {
-		out, err := eval(fr)
-		if err != nil {
-			return err
-		}
-		fr.regs[dst] = out
-		return nil
-	}
-}
-
-// argRef locates an operand at run time: a constant materialised at
-// compile time or a register slot.
-type argRef struct {
-	isConst bool
-	val     vm.Value
-	slot    int
-}
-
-func (a argRef) get(fr *frame) vm.Value {
-	if a.isConst {
-		return a.val
-	}
-	return fr.regs[a.slot]
+// inline hands a fused vector producer to its consumer, which evaluates
+// it straight into the operand slot at position pos.
+type inline struct {
+	pos   int
+	into  func(slot int) op
+	chain int // producers already folded into the producer
 }
 
 type compiler struct {
 	f     *ir.Func
 	sched *ir.Scheduled
-	slots map[int]int // sym id → register slot
-	next  int
+	slots map[int]int // sym id → register index in the sym's file
+	// sInit and vInit grow with every register allocated: they become
+	// the program's register-file images.
+	sInit  []sreg
+	vInit  []vm.Value
+	consts map[constKey]int // constant pool (scalar file)
 	// loopIVs is the stack of enclosing loop variables; the innermost
 	// drives stride classification of scalar loads.
 	loopIVs []ir.Sym
 	// uses counts, per symbol, every reference from kept nodes' args,
 	// block results and effect annotations; fusion requires exactly one.
-	uses        map[int]int
-	scratchNext int
-	fuse        bool
-	opt         bool
-	fused       int
-	hoisted     int
-	strength    int
-	chains      int
+	uses     map[int]int
+	arenaLen int
+	fuse     bool
+	opt      bool
+	fused    int
+	hoisted  int
+	strength int
+	chains   int
 	// skip marks nodes (by sym id) the loop optimizer has claimed:
 	// compileBlock leaves them out of the body so the loop driver can
 	// run them at entry (hoisted) or incrementally (strength-reduced).
@@ -335,6 +375,13 @@ type compiler struct {
 	// prog is the program under construction; loop drivers keep a
 	// backreference so parallel lanes can draw frames from its pool.
 	prog *Program
+}
+
+// constKey identifies a constant by its payload bits, so -0.0 and 0.0
+// (equal as floats) keep separate slots.
+type constKey struct {
+	i    int64
+	bits uint64
 }
 
 // strided reports whether an index expression strides by the innermost
@@ -387,12 +434,13 @@ func CompileTier(f *ir.Func, t Tier) (*Program, error) { return CompileWith(f, t
 // can compare configurations op-for-op.
 func CompileWith(f *ir.Func, o Options) (*Program, error) {
 	c := &compiler{f: f, sched: ir.Schedule(f), slots: map[int]int{},
-		uses: map[int]int{}, fuse: o.Fuse, opt: o.Optimize, skip: map[int]bool{}}
+		consts: map[constKey]int{}, uses: map[int]int{},
+		fuse: o.Fuse, opt: o.Optimize, skip: map[int]bool{}}
 	c.countUses(f.G.Root())
 	p := &Program{F: f}
 	c.prog = p
 	for _, prm := range f.Params {
-		p.params = append(p.params, c.slot(prm))
+		p.params = append(p.params, reg{idx: c.slot(prm), kind: prm.Typ.Kind})
 	}
 	ops, counts, err := c.compileBlock(f.G.Root())
 	if err != nil {
@@ -401,24 +449,24 @@ func CompileWith(f *ir.Func, o Options) (*Program, error) {
 	p.ops = ops
 	p.rootCounts = counts
 	if r := f.G.Root().Result; r != nil {
-		ref, err := c.ref(r)
+		res, err := c.ref(r)
 		if err != nil {
 			return nil, fmt.Errorf("kernelc: %s: result: %w", f.Name, err)
 		}
-		p.result = &ref
+		p.result = &res
 	}
-	p.nRegs = c.next
-	p.scratchLen = c.scratchNext
+	p.sInit = c.sInit
+	p.vInit = c.vInit
 	p.fused = c.fused
 	p.hoisted = c.hoisted
 	p.strength = c.strength
 	p.chains = c.chains
-	arenaSlots.Add(int64(p.scratchLen))
+	arenaSlots.Add(int64(c.arenaLen))
 	p.pool.New = func() any {
 		poolNews.Add(1)
 		return &frame{
-			regs:    make([]vm.Value, p.nRegs),
-			scratch: make([]vm.Value, p.scratchLen),
+			s: append([]sreg(nil), p.sInit...),
+			v: append([]vm.Value(nil), p.vInit...),
 		}
 	}
 	return p, nil
@@ -447,58 +495,97 @@ func (c *compiler) countUses(b *ir.Block) {
 	}
 }
 
+// newScalar allocates a scalar register.
+func (c *compiler) newScalar() int {
+	c.sInit = append(c.sInit, sreg{})
+	return len(c.sInit) - 1
+}
+
+// newVec allocates a vector-file slot whose image holds v.
+func (c *compiler) newVec(v vm.Value) int {
+	c.vInit = append(c.vInit, v)
+	return len(c.vInit) - 1
+}
+
+// slot returns the symbol's register, allocating it in the file its
+// type selects on first use.
 func (c *compiler) slot(s ir.Sym) int {
 	if idx, ok := c.slots[s.ID]; ok {
 		return idx
 	}
-	idx := c.next
-	c.next++
+	var idx int
+	if s.Typ.Kind == ir.KindVec {
+		idx = c.newVec(vm.Value{Kind: ir.KindVec})
+	} else {
+		idx = c.newScalar()
+	}
 	c.slots[s.ID] = idx
 	return idx
 }
 
-func (c *compiler) ref(e ir.Exp) (argRef, error) {
+// ref resolves an operand to its register: a symbol's slot, or a
+// constant-pool entry preloaded into every frame.
+func (c *compiler) ref(e ir.Exp) (reg, error) {
 	switch x := e.(type) {
 	case ir.Const:
-		return argRef{isConst: true, val: constValue(x)}, nil
+		if x.Typ.Kind == ir.KindVec || x.Typ.Kind == ir.KindPtr {
+			return reg{}, fmt.Errorf("unsupported %v constant", x.Typ)
+		}
+		r := constReg(x)
+		key := constKey{i: r.i, bits: math.Float64bits(r.f)}
+		idx, ok := c.consts[key]
+		if !ok {
+			idx = c.newScalar()
+			c.sInit[idx] = r
+			c.consts[key] = idx
+		}
+		return reg{idx: idx, kind: x.Typ.Kind}, nil
 	case ir.Sym:
 		idx, ok := c.slots[x.ID]
 		if !ok {
-			return argRef{}, fmt.Errorf("use of undefined symbol %v", x)
+			return reg{}, fmt.Errorf("use of undefined symbol %v", x)
 		}
-		return argRef{slot: idx}, nil
+		return reg{idx: idx, kind: x.Typ.Kind}, nil
 	default:
-		return argRef{}, fmt.Errorf("unsupported expression %T", e)
+		return reg{}, fmt.Errorf("unsupported expression %T", e)
 	}
 }
 
-func constValue(cst ir.Const) vm.Value {
-	v := vm.Value{Kind: cst.Typ.Kind}
+// refs resolves a list of scalar operands to scalar-file indexes.
+func (c *compiler) refs(args []ir.Exp) ([]int, error) {
+	out := make([]int, len(args))
+	for i, a := range args {
+		r, err := c.ref(a)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = r.idx
+	}
+	return out, nil
+}
+
+// constReg is a constant's register payload.
+func constReg(cst ir.Const) sreg {
 	switch {
 	case cst.Typ.Kind == ir.KindBool:
-		v.B = cst.B
+		return sreg{i: b2i(cst.B)}
 	case cst.Typ.IsFloat():
-		v.F = cst.F
+		return sreg{f: cst.F}
 	case cst.Typ.IsSigned():
-		v.I = cst.I
+		return sreg{i: cst.I}
 	default:
-		v.U = cst.U
+		return sreg{i: int64(cst.U)}
 	}
-	return v
 }
 
 // fusablePos returns the argument position of d that references s, or -1
-// when d cannot absorb an inlined producer. Any single position is safe
-// for the whitelisted shapes because their remaining operands are pure
-// register/constant reads: running the producer at consumer entry is
+// when d cannot absorb an inlined producer. Only intrinsics absorb
+// producers, and any single position is safe: their remaining operands
+// are pure register reads, so running the producer at consumer entry is
 // observationally the same as running it immediately before (which is
 // where it sat in the schedule).
 func fusablePos(d *ir.Def, s ir.Sym) int {
-	switch d.Op {
-	case ir.OpSel:
-		// Select evaluates only one of its value operands; inlining an
-		// unconditionally-executed producer would skip it on the other
-		// path and break the static count vector.
+	if !ir.IsIntrinsicOp(d.Op) {
 		return -1
 	}
 	pos := -1
@@ -513,6 +600,14 @@ func fusablePos(d *ir.Def, s ir.Sym) int {
 	return pos
 }
 
+// finish binds a node that was not fused away to its own register.
+func (c *compiler) finish(v *valNode) op {
+	if v.op == nil {
+		v.op = v.into(c.slot(v.sym))
+	}
+	return v.op
+}
+
 // compileBlock lowers one block's kept nodes to ops plus the block's
 // static count vector. A just-compiled simple node is held pending for
 // one step so the next node may fuse it.
@@ -525,7 +620,7 @@ func (c *compiler) compileBlock(b *ir.Block) ([]op, []countDelta, error) {
 			if pending.chain >= 2 {
 				c.chains++
 			}
-			ops = append(ops, pending.asOp())
+			ops = append(ops, c.finish(pending))
 			counts = append(counts, pending.counts...)
 			pending = nil
 		}
@@ -559,10 +654,9 @@ func (c *compiler) compileBlock(b *ir.Block) ([]op, []countDelta, error) {
 		default:
 			var inl *inline
 			var prodCounts []countDelta
-			if c.fuse && pending != nil && !pending.void && c.uses[pending.sym.ID] == 1 {
+			if c.fuse && pending != nil && pending.into != nil && c.uses[pending.sym.ID] == 1 {
 				if pos := fusablePos(d, pending.sym); pos >= 0 {
-					inl = &inline{pos: pos, eval: pending.eval,
-						evalInto: pending.evalInto, chain: pending.chain}
+					inl = &inline{pos: pos, into: pending.into, chain: pending.chain}
 					prodCounts = pending.counts
 					pending = nil
 					c.fused++
@@ -604,55 +698,128 @@ func mergeCounts(cds []countDelta) []countDelta {
 	return out
 }
 
+// compileSimple lowers one non-control node. Only intrinsics accept a
+// fused producer.
 func (c *compiler) compileSimple(n *ir.Node, inl *inline) (*valNode, error) {
-	switch n.Def.Op {
-	case ir.OpALoad:
-		return c.compileALoad(n, inl)
-	case ir.OpAStore:
-		return c.compileAStore(n, inl)
-	case ir.OpPtrAdd:
-		return c.compilePtrAdd(n, inl)
-	case ir.OpConv:
-		return c.compileConv(n, inl)
-	case ir.OpSel:
-		return c.compileSelect(n)
-	}
 	if ir.IsIntrinsicOp(n.Def.Op) {
 		return c.compileIntrinsic(n, inl)
 	}
-	return c.compileScalar(n, inl)
+	var o op
+	var cost string
+	var err error
+	switch n.Def.Op {
+	case ir.OpALoad:
+		o, cost, err = c.compileALoad(n)
+	case ir.OpAStore:
+		o, cost, err = c.compileAStore(n)
+	case ir.OpPtrAdd:
+		o, cost, err = c.compilePtrAdd(n)
+	case ir.OpConv:
+		o, cost, err = c.compileConv(n)
+	case ir.OpSel:
+		o, cost, err = c.compileSelect(n)
+	default:
+		o, cost, err = c.compileScalar(n)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return &valNode{op: o, counts: []countDelta{{cost, 1}}, sym: n.Sym}, nil
 }
 
-func (c *compiler) refs(args []ir.Exp) ([]argRef, error) {
-	out := make([]argRef, len(args))
-	for i, a := range args {
-		r, err := c.ref(a)
-		if err != nil {
-			return nil, err
+// operandClass selects which vm.Value field an intrinsic operand
+// occupies in the arena.
+type operandClass uint8
+
+const (
+	opndSigned operandClass = iota
+	opndUnsigned
+	opndFloat
+	opndBool
+	opndPtr
+	opndVec
+)
+
+func classOf(k ir.Kind) operandClass {
+	switch {
+	case k == ir.KindVec:
+		return opndVec
+	case k == ir.KindPtr:
+		return opndPtr
+	case k == ir.KindBool:
+		return opndBool
+	case isFloatKind(k):
+		return opndFloat
+	case isUnsignedKind(k):
+		return opndUnsigned
+	default:
+		return opndSigned
+	}
+}
+
+// gather copies one register operand into its arena slot.
+type gather struct {
+	cls operandClass
+	src int // register (file per cls)
+	dst int // arena slot in the vector file
+}
+
+// callSite is one compiled intrinsic call: the arena region holding its
+// operands (kinds and constant operands preloaded in the frame image),
+// the register operands to copy in per call, and an optional fused
+// producer evaluated straight into its operand slot.
+type callSite struct {
+	name   string
+	fn     func(m *vm.Machine, args []vm.Value) (vm.Value, error)
+	fnInto func(m *vm.Machine, args []vm.Value, out *vm.Value) error
+	gather []gather
+	off    int
+	end    int
+	pre    op
+}
+
+// call gathers the operands and runs the intrinsic into *out, which
+// never aliases the operand region. Gathering is pure register reads,
+// so running the fused producer after it is observationally identical
+// to the schedule's producer-first order.
+func (cs *callSite) call(fr *frame, out *vm.Value) error {
+	v, s := fr.v, fr.s
+	for _, g := range cs.gather {
+		d := &v[g.dst]
+		switch g.cls {
+		case opndVec:
+			d.V = v[g.src].V
+		case opndFloat:
+			d.F = s[g.src].f
+		case opndSigned:
+			d.I = s[g.src].i
+		case opndUnsigned:
+			d.U = uint64(s[g.src].i)
+		case opndBool:
+			d.B = s[g.src].i != 0
+		case opndPtr:
+			r := &s[g.src]
+			d.Mem, d.Off = r.mem, int(r.i)
 		}
-		out[i] = r
 	}
-	return out, nil
-}
-
-// fusedRefs resolves the argument list, substituting a harmless constant
-// for the inlined position (its register is never written).
-func (c *compiler) fusedRefs(args []ir.Exp, inl *inline) ([]argRef, error) {
-	cp := make([]ir.Exp, len(args))
-	copy(cp, args)
-	if inl != nil {
-		cp[inl.pos] = ir.ConstInt(0)
+	if cs.pre != nil {
+		if err := cs.pre(fr); err != nil {
+			return err
+		}
 	}
-	return c.refs(cp)
-}
-
-func (c *compiler) valNode(n *ir.Node, eval evalFn, counts ...countDelta) *valNode {
-	void := n.Def.Typ == ir.TVoid
-	dst := -1
-	if !void {
-		dst = c.slot(n.Sym)
+	args := v[cs.off:cs.end]
+	if cs.fnInto != nil {
+		if err := cs.fnInto(fr.m, args, out); err != nil {
+			return fmt.Errorf("%s: %w", cs.name, err)
+		}
+		return nil
 	}
-	return &valNode{eval: eval, void: void, dst: dst, counts: counts, sym: n.Sym}
+	r, err := cs.fn(fr.m, args)
+	if err != nil {
+		return fmt.Errorf("%s: %w", cs.name, err)
+	}
+	*out = r
+	return nil
 }
 
 func (c *compiler) compileIntrinsic(n *ir.Node, inl *inline) (*valNode, error) {
@@ -663,118 +830,77 @@ func (c *compiler) compileIntrinsic(n *ir.Node, inl *inline) (*valNode, error) {
 		// native toolchain cannot execute it on this machine.
 		return nil, fmt.Errorf("intrinsic %s has no executable semantic in the vm", name)
 	}
-	args, err := c.fusedRefs(n.Def.Args, inl)
-	if err != nil {
-		return nil, err
-	}
-	off := c.scratchNext
-	c.scratchNext += len(args)
-	nArgs := len(args)
-	ie, pos := inlineParts(inl)
-	fn := in.Fn
-	if c.opt {
-		// Destination-passing tier: arguments are gathered into the
-		// frame's scratch arena, an inlined producer evaluates straight
-		// into its arena slot, and the intrinsic writes its result into
-		// the caller-provided destination (via the vm fast path when one
-		// is registered). Argument gathering is pure register reads, so
-		// running the producer after it is observationally identical to
-		// the plain tier's producer-first order.
-		var iInto evalIntoFn
-		if inl != nil {
-			iInto = inl.evalInto
-		}
-		fnInto := in.FnInto
-		evalInto := func(fr *frame, out *vm.Value) error {
-			vals := fr.scratch[off : off+nArgs]
-			for i, a := range args {
-				vals[i] = a.get(fr)
-			}
-			if pos >= 0 {
-				if iInto != nil {
-					if err := iInto(fr, &vals[pos]); err != nil {
-						return err
-					}
-				} else {
-					v, err := ie(fr)
-					if err != nil {
-						return err
-					}
-					vals[pos] = v
-				}
-			}
-			if fnInto != nil {
-				if err := fnInto(fr.m, vals, out); err != nil {
-					return fmt.Errorf("%s: %w", name, err)
-				}
-				return nil
-			}
-			v, err := fn(fr.m, vals)
+	cs := &callSite{name: name, fn: in.Fn, fnInto: in.FnInto, off: len(c.vInit)}
+	for i, a := range n.Def.Args {
+		k := a.Type().Kind
+		switch cst, isConst := a.(ir.Const); {
+		case inl != nil && i == inl.pos:
+			c.newVec(vm.Value{Kind: k})
+		case isConst:
+			c.newVec(fromScalar(k, constReg(cst)))
+		default:
+			r, err := c.ref(a)
 			if err != nil {
-				return fmt.Errorf("%s: %w", name, err)
+				return nil, err
 			}
-			*out = v
+			dst := c.newVec(vm.Value{Kind: k})
+			cs.gather = append(cs.gather, gather{cls: classOf(k), src: r.idx, dst: dst})
+		}
+	}
+	cs.end = len(c.vInit)
+	c.arenaLen += cs.end - cs.off
+	if inl != nil {
+		cs.pre = inl.into(cs.off + inl.pos)
+	}
+	vn := &valNode{counts: []countDelta{{name, 1}}, sym: n.Sym}
+	switch kind := n.Def.Typ.Kind; kind {
+	case ir.KindVoid:
+		vn.op = func(fr *frame) error { return cs.call(fr, &fr.sink) }
+	case ir.KindVec:
+		vn.into = func(slot int) op {
+			return func(fr *frame) error { return cs.call(fr, &fr.v[slot]) }
+		}
+	default:
+		// Scalar results land in a private arena slot and are unboxed
+		// into the node's register.
+		tmp := c.newVec(vm.Value{})
+		dst := c.slot(n.Sym)
+		vn.op = func(fr *frame) error {
+			out := &fr.v[tmp]
+			if err := cs.call(fr, out); err != nil {
+				return err
+			}
+			fr.s[dst] = toScalar(kind, out)
 			return nil
 		}
-		eval := func(fr *frame) (vm.Value, error) {
-			var out vm.Value
-			err := evalInto(fr, &out)
-			return out, err
-		}
-		vn := c.valNode(n, eval, countDelta{name, 1})
-		vn.evalInto = evalInto
-		return vn, nil
 	}
-	eval := func(fr *frame) (vm.Value, error) {
-		var iv vm.Value
-		if pos >= 0 {
-			v, err := ie(fr)
-			if err != nil {
-				return vm.Value{}, err
-			}
-			iv = v
-		}
-		vals := fr.scratch[off : off+nArgs]
-		for i, a := range args {
-			vals[i] = a.get(fr)
-		}
-		if pos >= 0 {
-			vals[pos] = iv
-		}
-		out, err := fn(fr.m, vals)
-		if err != nil {
-			return vm.Value{}, fmt.Errorf("%s: %w", name, err)
-		}
-		return out, nil
-	}
-	return c.valNode(n, eval, countDelta{name, 1}), nil
-}
-
-func inlineParts(inl *inline) (evalFn, int) {
-	if inl == nil {
-		return nil, -1
-	}
-	return inl.eval, inl.pos
+	return vn, nil
 }
 
 func (c *compiler) compileLoop(n *ir.Node) (op, error) {
-	args, err := c.refs(n.Def.Args)
+	bounds, err := c.refs(n.Def.Args[:3])
 	if err != nil {
 		return nil, err
 	}
 	body := n.Def.Blocks[0]
-	iv := c.slot(body.Params[0])
+	lc := &loopCode{prog: c.prog, start: bounds[0], end: bounds[1], stride: bounds[2],
+		iv: c.slot(body.Params[0])}
 	// Loop-carried accumulator (LoopAcc): 4th argument is the initial
 	// value, 2nd block param the carried symbol, block result the next
 	// value.
-	carried := len(n.Def.Args) == 4
-	var accSlot, dst int
-	if carried {
-		accSlot = c.slot(body.Params[1])
-		dst = c.slot(n.Sym)
+	lc.carried = len(n.Def.Args) == 4
+	if lc.carried {
+		if lc.init, err = c.ref(n.Def.Args[3]); err != nil {
+			return nil, err
+		}
+		acc := body.Params[1]
+		lc.acc = reg{idx: c.slot(acc), kind: acc.Typ.Kind}
+		lc.dst = reg{idx: c.slot(n.Sym), kind: n.Sym.Typ.Kind}
 	}
 	// The loop-nest optimizer claims invariant and affine nodes before
-	// the body is lowered; compileBlock then skips them.
+	// the body is lowered; compileBlock then skips them. Without it the
+	// plan is empty and the same driver runs the whole body per
+	// iteration.
 	var plan loopPlan
 	if c.opt {
 		plan = c.planLoop(body)
@@ -801,120 +927,73 @@ func (c *compiler) compileLoop(n *ir.Node) (op, error) {
 	if err != nil {
 		return nil, err
 	}
-	var next argRef
-	if carried {
-		next, err = c.ref(body.Result)
-		if err != nil {
+	if lc.carried {
+		if lc.next, err = c.ref(body.Result); err != nil {
 			return nil, err
 		}
 	}
-	// Per-loop iteration counter so the cost model can attribute the
-	// loop-carried dependency chain (see internal/machine). The body's
-	// static count vector is applied once, scaled by the trip count.
-	loopKey := fmt.Sprintf("loop.#%d", n.Sym.ID)
-	if !c.opt {
-		return func(fr *frame) error {
-			start := args[0].get(fr).AsInt()
-			end := args[1].get(fr).AsInt()
-			stride := args[2].get(fr).AsInt()
-			if stride <= 0 {
-				return fmt.Errorf("forloop stride %d must be positive", stride)
-			}
-			if carried {
-				fr.regs[accSlot] = args[3].get(fr)
-			}
-			iters := int64(0)
-			for i := start; i < end; i += stride {
-				fr.regs[iv] = vm.Value{Kind: ir.KindI32, I: i}
-				for _, o := range bodyOps {
-					if err := o(fr); err != nil {
-						return err
-					}
-				}
-				if carried {
-					fr.regs[accSlot] = next.get(fr)
-				}
-				iters++
-			}
-			fr.m.Counts.Add(OpLoopIter, iters)
-			fr.m.Counts.Add(loopKey, iters)
-			for _, cd := range bodyCounts {
-				fr.m.Counts.Add(cd.key, cd.n*iters)
-			}
-			if carried {
-				fr.regs[dst] = fr.regs[accSlot]
-			}
-			return nil
-		}, nil
-	}
-	// Optimized driver. Hoisted and strength-reduced nodes execute at
-	// loop entry (guarded by start < end, so zero-trip loops behave as
-	// before); their static counts were merged into bodyCounts by
-	// planLoop's caller below, keeping the dynamic count stream
-	// identical to the plain tier. Strength-reduced (derived) nodes are
-	// affine i32 functions of the induction variable: their per-stride
-	// step is measured once by evaluating the chain at start and
-	// start+stride — exact because i32 arithmetic is linear in the ring
-	// Z/2^32 and truncation commutes with it — then each iteration
-	// advances them with one masked add instead of re-running the chain.
+	// Hoisted and strength-reduced nodes run from the loop driver; their
+	// static counts merge into the body's vector so the dynamic count
+	// stream is identical with the optimizer on or off.
 	hoistedOps, derivedOps, extraCounts, derSlots, err := c.lowerPlan(plan)
 	if err != nil {
 		return nil, err
 	}
-	bodyCounts = mergeCounts(append(bodyCounts, extraCounts...))
-	nDer := len(derivedOps)
-	saveOff := c.scratchNext
-	c.scratchNext += 2 * nDer // derived save/step area in the frame arena
-	lc := &loopCode{
-		prog: c.prog, args: args, iv: iv, carried: carried,
-		accSlot: accSlot, dst: dst, next: next,
-		bodyOps: bodyOps, bodyCounts: bodyCounts,
-		hoistedOps: hoistedOps, derivedOps: derivedOps,
-		derSlots: derSlots, saveOff: saveOff, nDer: nDer,
-		loopKey: loopKey,
+	lc.bodyOps = bodyOps
+	lc.bodyCounts = mergeCounts(append(bodyCounts, extraCounts...))
+	lc.hoistedOps, lc.derivedOps, lc.derSlots = hoistedOps, derivedOps, derSlots
+	lc.nDer = len(derivedOps)
+	lc.saveOff = len(c.sInit)
+	for j := 0; j < 2*lc.nDer; j++ {
+		c.newScalar() // derived save/step area
 	}
-	// The parallel tier: when the dependence analysis proves iterations
-	// independent, attach the probe plan; the driver decides per
-	// execution (trip count, worker budget, runtime probe) whether to
-	// shard.
-	pp, err := c.buildParPlan(n, body)
-	if err != nil {
-		return nil, err
-	}
-	if pp != nil {
-		lc.par = pp
-		parEligible.Add(1)
+	// Per-loop iteration counter so the cost model can attribute the
+	// loop-carried dependency chain (see internal/machine). The body's
+	// static count vector is applied once, scaled by the trip count.
+	lc.loopKey = fmt.Sprintf("loop.#%d", n.Sym.ID)
+	if c.opt {
+		// The parallel tier: when the dependence analysis proves
+		// iterations independent, attach the probe plan; the driver
+		// decides per execution (trip count, worker budget, runtime
+		// probe) whether to shard.
+		pp, err := c.buildParPlan(n, body, lc)
+		if err != nil {
+			return nil, err
+		}
+		if pp != nil {
+			lc.par = pp
+			parEligible.Add(1)
+		}
 	}
 	return lc.run, nil
 }
 
-// loopCode is one optimized loop's compiled driver state, shared by the
-// serial loop and the parallel lanes.
+// loopCode is one loop's compiled driver state, shared by the serial
+// loop and the parallel lanes.
 type loopCode struct {
-	prog    *Program
-	args    []argRef // start, end, stride[, init]
-	iv      int
-	carried bool
-	accSlot int
-	dst     int
-	next    argRef
-	bodyOps []op
+	prog               *Program
+	start, end, stride int // scalar registers of the bounds
+	iv                 int
+	carried            bool
+	init, acc, dst     reg // carried accumulator: initial value, body param, loop result
+	next               reg // carried accumulator: next value (block result)
+	bodyOps            []op
 	// bodyCounts is the body's static count vector, applied once scaled
 	// by the trip count.
 	bodyCounts []countDelta
 	hoistedOps []op
 	derivedOps []op
 	derSlots   []int
-	saveOff    int // derived save/step area in the frame arena
+	saveOff    int // derived save/step area in the scalar file
 	nDer       int
 	loopKey    string
-	par        *parPlan // nil when the loop is statically serial
+	par        *parPlan // nil when the loop runs serially
 }
 
-// run is the optimized loop driver. Hoisted and strength-reduced nodes
-// execute at loop entry (guarded by start < end, so zero-trip loops
-// behave as before); their static counts were merged into bodyCounts,
-// keeping the dynamic count stream identical to the plain tier.
+// run is the loop driver. Hoisted and strength-reduced nodes execute at
+// loop entry (guarded by start < end, so zero-trip loops behave as
+// before); their static counts were merged into bodyCounts, keeping the
+// dynamic count stream identical with the optimizer on or off.
 // Strength-reduced (derived) nodes are affine i32 functions of the
 // induction variable: their per-stride step is measured once by
 // evaluating the chain at start and start+stride — exact because i32
@@ -922,45 +1001,44 @@ type loopCode struct {
 // it — then each iteration advances them with one masked add instead of
 // re-running the chain.
 func (lc *loopCode) run(fr *frame) error {
-	args := lc.args
-	start := args[0].get(fr).AsInt()
-	end := args[1].get(fr).AsInt()
-	stride := args[2].get(fr).AsInt()
+	s := fr.s
+	start, end, stride := s[lc.start].i, s[lc.end].i, s[lc.stride].i
 	if stride <= 0 {
 		return fmt.Errorf("forloop stride %d must be positive", stride)
 	}
 	if lc.carried {
-		fr.regs[lc.accSlot] = args[3].get(fr)
+		fr.move(lc.acc, lc.init)
 	}
 	var iters int64
 	if start < end {
 		iters = (end - start + stride - 1) / stride
-		fr.regs[lc.iv] = vm.Value{Kind: ir.KindI32, I: start}
+		s[lc.iv].i = start
 		for _, o := range lc.hoistedOps {
 			if err := o(fr); err != nil {
 				return err
 			}
 		}
 		if lc.nDer > 0 {
+			save := s[lc.saveOff : lc.saveOff+2*lc.nDer]
 			for _, o := range lc.derivedOps {
 				if err := o(fr); err != nil {
 					return err
 				}
 			}
-			for j, s := range lc.derSlots {
-				fr.scratch[lc.saveOff+j].I = fr.regs[s].I
+			for j, d := range lc.derSlots {
+				save[j].i = s[d].i
 			}
-			fr.regs[lc.iv].I = start + stride
+			s[lc.iv].i = start + stride
 			for _, o := range lc.derivedOps {
 				if err := o(fr); err != nil {
 					return err
 				}
 			}
-			for j, s := range lc.derSlots {
-				fr.scratch[lc.saveOff+lc.nDer+j].I = fr.regs[s].I - fr.scratch[lc.saveOff+j].I
-				fr.regs[s].I = fr.scratch[lc.saveOff+j].I
+			for j, d := range lc.derSlots {
+				save[lc.nDer+j].i = s[d].i - save[j].i
+				s[d].i = save[j].i
 			}
-			fr.regs[lc.iv].I = start
+			s[lc.iv].i = start
 		}
 		if lc.par != nil && iters >= parMinIters && fr.m.Workers > 1 && fr.m.Cache == nil {
 			// The cache simulator is order-sensitive shared state, so
@@ -970,7 +1048,7 @@ func (lc *loopCode) run(fr *frame) error {
 					return err
 				}
 				if lc.carried {
-					fr.regs[lc.dst] = fr.regs[lc.accSlot]
+					fr.move(lc.dst, lc.acc)
 				}
 				return nil
 			}
@@ -986,7 +1064,7 @@ func (lc *loopCode) run(fr *frame) error {
 	}
 	lc.addCounts(fr.m, iters)
 	if lc.carried {
-		fr.regs[lc.dst] = fr.regs[lc.accSlot]
+		fr.move(lc.dst, lc.acc)
 	}
 	return nil
 }
@@ -995,15 +1073,15 @@ func (lc *loopCode) run(fr *frame) error {
 // i0, assuming the iv register and derived registers already hold the
 // i0 state. It returns how many iterations completed.
 func (lc *loopCode) span(fr *frame, i0, stride, cnt int64) (int64, error) {
+	s := fr.s
+	step := s[lc.saveOff+lc.nDer : lc.saveOff+2*lc.nDer]
 	i := i0
 	for t := int64(0); t < cnt; t++ {
 		if t != 0 {
-			// The iv Value was fully initialised at entry; later
-			// iterations only need the integer field bumped.
-			fr.regs[lc.iv].I = i
-			for j, s := range lc.derSlots {
-				r := &fr.regs[s]
-				r.I = int64(int32(r.I + fr.scratch[lc.saveOff+lc.nDer+j].I))
+			s[lc.iv].i = i
+			for j, d := range lc.derSlots {
+				r := &s[d]
+				r.i = int64(int32(r.i + step[j].i))
 			}
 		}
 		for _, o := range lc.bodyOps {
@@ -1012,7 +1090,7 @@ func (lc *loopCode) span(fr *frame, i0, stride, cnt int64) (int64, error) {
 			}
 		}
 		if lc.carried {
-			fr.regs[lc.accSlot] = lc.next.get(fr)
+			fr.move(lc.acc, lc.next)
 		}
 		i += stride
 	}
@@ -1044,7 +1122,7 @@ func (c *compiler) compileIf(n *ir.Node) (op, error) {
 	if err != nil {
 		return nil, err
 	}
-	var thenRes, elseRes *argRef
+	var thenRes, elseRes *reg
 	if thenB.Result != nil {
 		r, err := c.ref(thenB.Result)
 		if err != nil {
@@ -1059,304 +1137,168 @@ func (c *compiler) compileIf(n *ir.Node) (op, error) {
 		}
 		elseRes = &r
 	}
-	dst := c.slot(n.Sym)
-	void := n.Def.Typ == ir.TVoid
+	var dst reg
+	if n.Def.Typ != ir.TVoid {
+		dst = reg{idx: c.slot(n.Sym), kind: n.Sym.Typ.Kind}
+	} else {
+		thenRes, elseRes = nil, nil
+	}
+	arm := func(fr *frame, ops []op, counts []countDelta, res *reg) error {
+		for _, o := range ops {
+			if err := o(fr); err != nil {
+				return err
+			}
+		}
+		for _, cd := range counts {
+			fr.m.Counts.Add(cd.key, cd.n)
+		}
+		if res != nil {
+			fr.move(dst, *res)
+		}
+		return nil
+	}
 	// The branch op itself is in the parent block's static vector; only
 	// the taken arm's counts are applied here.
 	return func(fr *frame) error {
-		if cond.get(fr).B {
-			for _, o := range thenOps {
-				if err := o(fr); err != nil {
-					return err
-				}
-			}
-			for _, cd := range thenCounts {
-				fr.m.Counts.Add(cd.key, cd.n)
-			}
-			if !void && thenRes != nil {
-				fr.regs[dst] = thenRes.get(fr)
-			}
-		} else {
-			for _, o := range elseOps {
-				if err := o(fr); err != nil {
-					return err
-				}
-			}
-			for _, cd := range elseCounts {
-				fr.m.Counts.Add(cd.key, cd.n)
-			}
-			if !void && elseRes != nil {
-				fr.regs[dst] = elseRes.get(fr)
-			}
+		if fr.s[cond.idx].i != 0 {
+			return arm(fr, thenOps, thenCounts, thenRes)
 		}
-		return nil
+		return arm(fr, elseOps, elseCounts, elseRes)
 	}, nil
 }
 
-func (c *compiler) compileALoad(n *ir.Node, inl *inline) (*valNode, error) {
-	args, err := c.fusedRefs(n.Def.Args, inl)
-	if err != nil {
-		return nil, err
+// element resolves one scalar array access: the buffer and element
+// index behind pointer register p displaced by index register x, bounds
+// checked and routed through the cache simulator when one is attached.
+func (fr *frame) element(p, x int, what string) (*vm.Buffer, int, error) {
+	ptr := &fr.s[p]
+	b := ptr.mem
+	if b == nil {
+		return nil, 0, fmt.Errorf("%s through nil array", what)
 	}
-	kind := n.Sym.Typ.Kind
-	costKey := OpScalarLoad
-	if c.strided(n.Def.Args[1]) {
-		costKey = OpScalarLoadStrided
+	idx := int(fr.s[x].i) + int(ptr.i)
+	esz := b.Prim.Bits() / 8
+	// (idx+1)*esz <= len(Data) is idx < Len() without the division.
+	if idx < 0 || (idx+1)*esz > len(b.Data) {
+		return nil, 0, fmt.Errorf("%s index %d out of bounds [0,%d)", what, idx, b.Len())
 	}
-	ptrRef, idxRef := args[0], args[1]
-	ie, pos := inlineParts(inl)
-	eval := func(fr *frame) (vm.Value, error) {
-		ptr := ptrRef.get(fr)
-		idxV := idxRef.get(fr)
-		if pos >= 0 {
-			v, err := ie(fr)
-			if err != nil {
-				return vm.Value{}, err
-			}
-			if pos == 0 {
-				ptr = v
-			} else {
-				idxV = v
-			}
-		}
-		if ptr.Mem == nil {
-			return vm.Value{}, fmt.Errorf("aload through nil array")
-		}
-		idx := int(idxV.AsInt()) + ptr.Off
-		if idx < 0 || idx >= ptr.Mem.Len() {
-			return vm.Value{}, fmt.Errorf("aload index %d out of bounds [0,%d)", idx, ptr.Mem.Len())
-		}
-		fr.m.Touch(ptr.Mem, idx*ptr.Mem.Prim.Bits()/8, ptr.Mem.Prim.Bits()/8)
-		var v vm.Value
-		v.Kind = kind
-		switch kind {
-		case ir.KindF32:
-			v.F = float64(ptr.Mem.F32At(idx))
-		case ir.KindF64:
-			v.F = ptr.Mem.F64At(idx)
-		case ir.KindU8, ir.KindU16, ir.KindU32, ir.KindU64:
-			v.U = uint64(ptr.Mem.IntAt(idx))
-		default:
-			v.I = ptr.Mem.IntAt(idx)
-		}
-		return v, nil
+	if fr.m.Cache != nil {
+		fr.m.Touch(b, idx*esz, esz)
 	}
-	vn := c.valNode(n, eval, countDelta{costKey, 1})
-	if c.opt {
-		// Destination-passing variant: the loaded scalar is built
-		// directly in the destination instead of being copied through a
-		// returned Value.
-		vn.evalInto = func(fr *frame, out *vm.Value) error {
-			ptr := ptrRef.get(fr)
-			idxV := idxRef.get(fr)
-			if pos >= 0 {
-				v, err := ie(fr)
-				if err != nil {
-					return err
-				}
-				if pos == 0 {
-					ptr = v
-				} else {
-					idxV = v
-				}
-			}
-			if ptr.Mem == nil {
-				return fmt.Errorf("aload through nil array")
-			}
-			idx := int(idxV.AsInt()) + ptr.Off
-			if idx < 0 || idx >= ptr.Mem.Len() {
-				return fmt.Errorf("aload index %d out of bounds [0,%d)", idx, ptr.Mem.Len())
-			}
-			fr.m.Touch(ptr.Mem, idx*ptr.Mem.Prim.Bits()/8, ptr.Mem.Prim.Bits()/8)
-			*out = vm.Value{Kind: kind}
-			switch kind {
-			case ir.KindF32:
-				out.F = float64(ptr.Mem.F32At(idx))
-			case ir.KindF64:
-				out.F = ptr.Mem.F64At(idx)
-			case ir.KindU8, ir.KindU16, ir.KindU32, ir.KindU64:
-				out.U = uint64(ptr.Mem.IntAt(idx))
-			default:
-				out.I = ptr.Mem.IntAt(idx)
-			}
-			return nil
-		}
-	}
-	return vn, nil
+	return b, idx, nil
 }
 
-func (c *compiler) compileAStore(n *ir.Node, inl *inline) (*valNode, error) {
-	args, err := c.fusedRefs(n.Def.Args, inl)
-	if err != nil {
-		return nil, err
-	}
-	kind := n.Def.Args[2].Type().Kind
-	ptrRef, idxRef, valRef := args[0], args[1], args[2]
-	ie, pos := inlineParts(inl)
-	eval := func(fr *frame) (vm.Value, error) {
-		ptr := ptrRef.get(fr)
-		idxV := idxRef.get(fr)
-		v := valRef.get(fr)
-		if pos >= 0 {
-			fv, err := ie(fr)
-			if err != nil {
-				return vm.Value{}, err
-			}
-			switch pos {
-			case 0:
-				ptr = fv
-			case 1:
-				idxV = fv
-			default:
-				v = fv
-			}
-		}
-		if ptr.Mem == nil {
-			return vm.Value{}, fmt.Errorf("astore through nil array")
-		}
-		idx := int(idxV.AsInt()) + ptr.Off
-		if idx < 0 || idx >= ptr.Mem.Len() {
-			return vm.Value{}, fmt.Errorf("astore index %d out of bounds [0,%d)", idx, ptr.Mem.Len())
-		}
-		fr.m.Touch(ptr.Mem, idx*ptr.Mem.Prim.Bits()/8, ptr.Mem.Prim.Bits()/8)
-		switch kind {
-		case ir.KindF32, ir.KindF64:
-			switch ptr.Mem.Prim.Bits() {
-			case 32:
-				ptr.Mem.SetF32At(idx, float32(v.F))
-			default:
-				ptr.Mem.SetF64At(idx, v.F)
-			}
-		default:
-			ptr.Mem.SetIntAt(idx, v.AsInt())
-		}
-		return vm.Value{}, nil
-	}
-	return c.valNode(n, eval, countDelta{OpScalarStore, 1}), nil
-}
-
-func (c *compiler) compilePtrAdd(n *ir.Node, inl *inline) (*valNode, error) {
-	args, err := c.fusedRefs(n.Def.Args, inl)
-	if err != nil {
-		return nil, err
-	}
-	ptrRef, idxRef := args[0], args[1]
-	ie, pos := inlineParts(inl)
-	eval := func(fr *frame) (vm.Value, error) {
-		ptr := ptrRef.get(fr)
-		idxV := idxRef.get(fr)
-		if pos >= 0 {
-			v, err := ie(fr)
-			if err != nil {
-				return vm.Value{}, err
-			}
-			if pos == 0 {
-				ptr = v
-			} else {
-				idxV = v
-			}
-		}
-		ptr.Off += int(idxV.AsInt())
-		return ptr, nil
-	}
-	return c.valNode(n, eval, countDelta{OpScalarALU, 1}), nil
-}
-
-func (c *compiler) compileConv(n *ir.Node, inl *inline) (*valNode, error) {
-	src, err := c.fusedRefs(n.Def.Args, inl)
-	if err != nil {
-		return nil, err
-	}
-	srcRef := src[0]
-	to := n.Sym.Typ
-	ie, _ := inlineParts(inl)
-	var eval evalFn
-	if ie != nil {
-		eval = func(fr *frame) (vm.Value, error) {
-			v, err := ie(fr)
-			if err != nil {
-				return vm.Value{}, err
-			}
-			return convert(v, to), nil
-		}
-	} else {
-		eval = func(fr *frame) (vm.Value, error) {
-			return convert(srcRef.get(fr), to), nil
-		}
-	}
-	return c.valNode(n, eval, countDelta{OpScalarConv, 1}), nil
-}
-
-func (c *compiler) compileSelect(n *ir.Node) (*valNode, error) {
+func (c *compiler) compileALoad(n *ir.Node) (op, string, error) {
 	args, err := c.refs(n.Def.Args)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
-	condRef, aRef, bRef := args[0], args[1], args[2]
-	eval := func(fr *frame) (vm.Value, error) {
-		if condRef.get(fr).B {
-			return aRef.get(fr), nil
-		}
-		return bRef.get(fr), nil
+	cost := OpScalarLoad
+	if c.strided(n.Def.Args[1]) {
+		cost = OpScalarLoadStrided
 	}
-	return c.valNode(n, eval, countDelta{OpScalarALU, 1}), nil
-}
-
-// convert implements scalar conversions with the target type's wrap
-// semantics.
-func convert(v vm.Value, to ir.Type) vm.Value {
-	out := vm.Value{Kind: to.Kind}
-	switch {
-	case to.Kind == ir.KindBool:
-		out.B = v.AsInt() != 0
-	case to.IsFloat():
-		switch v.Kind {
-		case ir.KindF32, ir.KindF64:
-			out.F = v.F
-		default:
-			out.F = v.AsFloat()
-		}
-		if to.Kind == ir.KindF32 {
-			out.F = float64(float32(out.F))
-		}
-	default:
-		var raw int64
-		switch v.Kind {
-		case ir.KindF32, ir.KindF64:
-			if math.IsNaN(v.F) {
-				raw = 0
-			} else {
-				raw = int64(v.F)
+	p, x, d := args[0], args[1], c.slot(n.Sym)
+	switch n.Sym.Typ.Kind {
+	case ir.KindF32:
+		return func(fr *frame) error {
+			b, idx, err := fr.element(p, x, "aload")
+			if err != nil {
+				return err
 			}
-		default:
-			raw = v.AsInt()
-		}
-		out = truncInt(to, raw)
+			fr.s[d].f = float64(b.F32At(idx))
+			return nil
+		}, cost, nil
+	case ir.KindF64:
+		return func(fr *frame) error {
+			b, idx, err := fr.element(p, x, "aload")
+			if err != nil {
+				return err
+			}
+			fr.s[d].f = b.F64At(idx)
+			return nil
+		}, cost, nil
+	default:
+		return func(fr *frame) error {
+			b, idx, err := fr.element(p, x, "aload")
+			if err != nil {
+				return err
+			}
+			fr.s[d].i = b.IntAt(idx)
+			return nil
+		}, cost, nil
 	}
-	return out
 }
 
-func truncInt(to ir.Type, raw int64) vm.Value {
-	out := vm.Value{Kind: to.Kind}
-	switch to.Kind {
-	case ir.KindI8:
-		out.I = int64(int8(raw))
-	case ir.KindI16:
-		out.I = int64(int16(raw))
-	case ir.KindI32:
-		out.I = int64(int32(raw))
-	case ir.KindI64:
-		out.I = raw
-	case ir.KindU8:
-		out.U = uint64(uint8(raw))
-	case ir.KindU16:
-		out.U = uint64(uint16(raw))
-	case ir.KindU32:
-		out.U = uint64(uint32(raw))
-	case ir.KindU64:
-		out.U = uint64(raw)
+func (c *compiler) compileAStore(n *ir.Node) (op, string, error) {
+	args, err := c.refs(n.Def.Args)
+	if err != nil {
+		return nil, "", err
 	}
-	return out
+	p, x, v := args[0], args[1], args[2]
+	if n.Def.Args[2].Type().IsFloat() {
+		return func(fr *frame) error {
+			b, idx, err := fr.element(p, x, "astore")
+			if err != nil {
+				return err
+			}
+			if b.Prim.Bits() == 32 {
+				b.SetF32At(idx, float32(fr.s[v].f))
+			} else {
+				b.SetF64At(idx, fr.s[v].f)
+			}
+			return nil
+		}, OpScalarStore, nil
+	}
+	return func(fr *frame) error {
+		b, idx, err := fr.element(p, x, "astore")
+		if err != nil {
+			return err
+		}
+		b.SetIntAt(idx, fr.s[v].i)
+		return nil
+	}, OpScalarStore, nil
+}
+
+func (c *compiler) compilePtrAdd(n *ir.Node) (op, string, error) {
+	args, err := c.refs(n.Def.Args)
+	if err != nil {
+		return nil, "", err
+	}
+	p, x, d := args[0], args[1], c.slot(n.Sym)
+	return func(fr *frame) error {
+		s := fr.s
+		s[d] = sreg{i: s[p].i + s[x].i, mem: s[p].mem}
+		return nil
+	}, OpScalarALU, nil
+}
+
+func (c *compiler) compileConv(n *ir.Node) (op, string, error) {
+	src, err := c.ref(n.Def.Args[0])
+	if err != nil {
+		return nil, "", err
+	}
+	return convOp(src.kind, n.Sym.Typ, c.slot(n.Sym), src.idx), OpScalarConv, nil
+}
+
+func (c *compiler) compileSelect(n *ir.Node) (op, string, error) {
+	var args [3]reg
+	for i, a := range n.Def.Args {
+		r, err := c.ref(a)
+		if err != nil {
+			return nil, "", err
+		}
+		args[i] = r
+	}
+	cond, a, b := args[0].idx, args[1], args[2]
+	d := reg{idx: c.slot(n.Sym), kind: n.Sym.Typ.Kind}
+	return func(fr *frame) error {
+		if fr.s[cond].i != 0 {
+			fr.move(d, a)
+		} else {
+			fr.move(d, b)
+		}
+		return nil
+	}, OpScalarALU, nil
 }
 
 // Run executes the program on machine m with the given arguments (one
@@ -1371,8 +1313,8 @@ func (p *Program) Run(m *vm.Machine, args ...vm.Value) (vm.Value, error) {
 	poolGets.Add(1)
 	fr := p.pool.Get().(*frame)
 	fr.m = m
-	for i, slot := range p.params {
-		fr.regs[slot] = args[i]
+	for i, r := range p.params {
+		fr.unbox(r, &args[i])
 	}
 	for _, o := range p.ops {
 		if err := o(fr); err != nil {
@@ -1385,7 +1327,7 @@ func (p *Program) Run(m *vm.Machine, args ...vm.Value) (vm.Value, error) {
 	}
 	var out vm.Value
 	if p.result != nil {
-		out = p.result.get(fr)
+		out = fr.box(*p.result)
 	}
 	releaseFrame(p, fr)
 	return out, nil

@@ -162,7 +162,7 @@ func (c *compiler) lowerPlan(plan loopPlan) (hoistedOps, derivedOps []op, counts
 		if cerr != nil {
 			return nil, nil, nil, nil, cerr
 		}
-		hoistedOps = append(hoistedOps, vn.asOp())
+		hoistedOps = append(hoistedOps, c.finish(vn))
 		counts = append(counts, vn.counts...)
 	}
 	for _, n := range plan.derived {
@@ -170,7 +170,7 @@ func (c *compiler) lowerPlan(plan loopPlan) (hoistedOps, derivedOps []op, counts
 		if cerr != nil {
 			return nil, nil, nil, nil, cerr
 		}
-		derivedOps = append(derivedOps, vn.asOp())
+		derivedOps = append(derivedOps, c.finish(vn))
 		counts = append(counts, vn.counts...)
 		derSlots = append(derSlots, c.slot(n.Sym))
 	}

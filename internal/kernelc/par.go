@@ -33,12 +33,12 @@ import (
 	"repro/internal/vm"
 )
 
-// parAccess is one probed access: register references resolving the
+// parAccess is one probed access: scalar registers resolving the
 // pointer (and element index) at probe time, plus the static byte
 // width (0 = one buffer element, for aload/astore).
 type parAccess struct {
-	ptr    argRef
-	idx    argRef
+	ptr    int
+	idx    int
 	hasIdx bool
 	width  int
 	write  bool
@@ -46,10 +46,18 @@ type parAccess struct {
 
 // reduceOp folds per-chunk accumulator partials exactly.
 type reduceOp struct {
-	fold func(a, b vm.Value) vm.Value
-	// seed produces a chunk's starting accumulator from the loop's
-	// init value (the op identity, or init itself for idempotent ops).
-	seed func(init vm.Value) vm.Value
+	// vecFold folds a lanewise vector reduction's partial into the
+	// accumulator.
+	vecFold func(acc, p *vm.Vec)
+	// fold is a scalar reduction's own evaluator, compiled to compute
+	// acc = acc ⊕ tmp in the accumulator register.
+	fold op
+	tmp  int
+	// seedInit seeds every chunk with the loop's init value (idempotent
+	// ops); otherwise chunks start from the identity id (zero vectors
+	// for vector reductions).
+	seedInit bool
+	id       sreg
 }
 
 // parPlan is the compiled parallel schedule of one loop.
@@ -59,14 +67,14 @@ type parPlan struct {
 	// order. They never touch memory and never count ops.
 	probeOps  []op
 	accesses  []parAccess
-	freeRoots []argRef
+	freeRoots []int
 	reduce    *reduceOp
 }
 
 // buildParPlan lowers loopdep's verdict for one loop into runnable
 // probe machinery. A nil plan (with nil error) means the loop stays
 // serial; errors are compiler bugs and abort compilation.
-func (c *compiler) buildParPlan(n *ir.Node, body *ir.Block) (*parPlan, error) {
+func (c *compiler) buildParPlan(n *ir.Node, body *ir.Block, lc *loopCode) (*parPlan, error) {
 	rep := loopdep.Analyze(c.f, n)
 	if !rep.OK {
 		return nil, nil
@@ -118,7 +126,7 @@ func (c *compiler) buildParPlan(n *ir.Node, body *ir.Block) (*parPlan, error) {
 		if err != nil {
 			return nil, nil
 		}
-		pa := parAccess{ptr: pr, width: a.Bytes, write: a.Write}
+		pa := parAccess{ptr: pr.idx, width: a.Bytes, write: a.Write}
 		if a.Idx != nil {
 			if !mark(a.Idx) {
 				return nil, nil
@@ -127,7 +135,7 @@ func (c *compiler) buildParPlan(n *ir.Node, body *ir.Block) (*parPlan, error) {
 			if err != nil {
 				return nil, nil
 			}
-			pa.idx, pa.hasIdx = ix, true
+			pa.idx, pa.hasIdx = ix.idx, true
 		}
 		pp.accesses = append(pp.accesses, pa)
 	}
@@ -141,7 +149,7 @@ func (c *compiler) buildParPlan(n *ir.Node, body *ir.Block) (*parPlan, error) {
 		if err != nil {
 			return nil, nil
 		}
-		pp.freeRoots = append(pp.freeRoots, rr)
+		pp.freeRoots = append(pp.freeRoots, rr.idx)
 	}
 	for _, kn := range kept {
 		if !need[kn.Sym.ID] {
@@ -151,10 +159,10 @@ func (c *compiler) buildParPlan(n *ir.Node, body *ir.Block) (*parPlan, error) {
 		if err != nil {
 			return nil, err
 		}
-		pp.probeOps = append(pp.probeOps, vn.asOp())
+		pp.probeOps = append(pp.probeOps, c.finish(vn))
 	}
 	if rep.Reduce != nil {
-		red, ok := makeReduce(rep.Reduce)
+		red, ok := c.makeReduce(rep.Reduce, lc.acc.idx)
 		if !ok {
 			return nil, nil
 		}
@@ -163,69 +171,59 @@ func (c *compiler) buildParPlan(n *ir.Node, body *ir.Block) (*parPlan, error) {
 	return pp, nil
 }
 
-// makeReduce builds the exact fold for a recognized reduction.
-func makeReduce(r *loopdep.Reduction) (*reduceOp, bool) {
+// makeReduce builds the exact fold for a recognized reduction over the
+// accumulator register acc. Scalar folds reuse the scalar evaluator, so
+// the fold's arithmetic is the body's arithmetic.
+func (c *compiler) makeReduce(r *loopdep.Reduction, acc int) (*reduceOp, bool) {
 	if r.Vec {
-		fold := vecLaneAdd(r.ElemBits)
-		if fold == nil {
+		add := vecLaneAdd(r.ElemBits)
+		if add == nil {
 			return nil, false
 		}
-		zero := vm.Value{Kind: ir.KindVec}
-		return &reduceOp{fold: fold, seed: func(vm.Value) vm.Value { return zero }}, true
+		return &reduceOp{vecFold: add}, true
 	}
-	fn, err := binaryFn(r.Op, r.Typ)
+	tmp := c.newScalar()
+	fold, err := binaryOp(r.Op, r.Typ, acc, acc, tmp)
 	if err != nil {
 		return nil, false
 	}
-	if r.SeedsWithInit() {
-		return &reduceOp{fold: fn, seed: func(init vm.Value) vm.Value { return init }}, true
+	red := &reduceOp{fold: fold, tmp: tmp, seedInit: r.SeedsWithInit()}
+	if r.Op == ir.OpAnd {
+		red.id = sreg{i: widthOf(r.Typ.Kind).wrap(-1)}
 	}
-	var id vm.Value
-	switch r.Op {
-	case ir.OpAnd:
-		id = truncInt(r.Typ, -1)
-	default: // add, or, xor: identity zero
-		id = truncInt(r.Typ, 0)
-	}
-	return &reduceOp{fold: fn, seed: func(vm.Value) vm.Value { return id }}, true
+	// add, or, xor: identity zero
+	return red, true
 }
 
-// vecLaneAdd adds two vector registers lane by lane at the given
+// vecLaneAdd returns the in-place lanewise add acc += p at the given
 // element width, over the full 64-byte container (unused upper lanes
-// are zero in both operands, so the extra lanes stay zero).
-func vecLaneAdd(bits int) func(a, b vm.Value) vm.Value {
+// are zero in both operands, so the extra lanes stay zero), or nil for
+// an unsupported width.
+func vecLaneAdd(bits int) func(acc, p *vm.Vec) {
 	switch bits {
 	case 8:
-		return func(a, b vm.Value) vm.Value {
-			var o vm.Vec
+		return func(acc, p *vm.Vec) {
 			for i := 0; i < 64; i++ {
-				o.SetI8(i, a.V.I8(i)+b.V.I8(i))
+				acc.SetI8(i, acc.I8(i)+p.I8(i))
 			}
-			return vm.VecValue(o)
 		}
 	case 16:
-		return func(a, b vm.Value) vm.Value {
-			var o vm.Vec
+		return func(acc, p *vm.Vec) {
 			for i := 0; i < 32; i++ {
-				o.SetI16(i, a.V.I16(i)+b.V.I16(i))
+				acc.SetI16(i, acc.I16(i)+p.I16(i))
 			}
-			return vm.VecValue(o)
 		}
 	case 32:
-		return func(a, b vm.Value) vm.Value {
-			var o vm.Vec
+		return func(acc, p *vm.Vec) {
 			for i := 0; i < 16; i++ {
-				o.SetI32(i, a.V.I32(i)+b.V.I32(i))
+				acc.SetI32(i, acc.I32(i)+p.I32(i))
 			}
-			return vm.VecValue(o)
 		}
 	case 64:
-		return func(a, b vm.Value) vm.Value {
-			var o vm.Vec
+		return func(acc, p *vm.Vec) {
 			for i := 0; i < 8; i++ {
-				o.SetI64(i, a.V.I64(i)+b.V.I64(i))
+				acc.SetI64(i, acc.I64(i)+p.I64(i))
 			}
-			return vm.VecValue(o)
 		}
 	}
 	return nil
@@ -249,7 +247,7 @@ func (lc *loopCode) runParallel(fr *frame, start, stride, iters int64) (bool, er
 	pp := lc.par
 	recs := make([]probeRec, len(pp.accesses))
 	probe := func(iv int64, slot int) bool {
-		fr.regs[lc.iv].I = iv
+		fr.s[lc.iv].i = iv
 		for _, o := range pp.probeOps {
 			if o(fr) != nil {
 				return false
@@ -257,31 +255,31 @@ func (lc *loopCode) runParallel(fr *frame, start, stride, iters int64) (bool, er
 		}
 		for i := range pp.accesses {
 			a := &pp.accesses[i]
-			pv := a.ptr.get(fr)
-			if pv.Mem == nil {
+			pv := &fr.s[a.ptr]
+			if pv.mem == nil {
 				return false
 			}
-			esz := int64(pv.Mem.Prim.Bits() / 8)
-			off := int64(pv.Off)
+			esz := int64(pv.mem.Prim.Bits() / 8)
+			off := pv.i
 			if a.hasIdx {
-				off += a.idx.get(fr).AsInt()
+				off += fr.s[a.idx].i
 			}
 			off *= esz
 			r := &recs[i]
 			switch slot {
 			case 0:
-				r.buf, r.o0 = pv.Mem, off
+				r.buf, r.o0 = pv.mem, off
 				r.w = int64(a.width)
 				if r.w == 0 {
 					r.w = esz
 				}
 			case 1:
-				if pv.Mem != r.buf {
+				if pv.mem != r.buf {
 					return false
 				}
 				r.d = off - r.o0
 			default:
-				if pv.Mem != r.buf {
+				if pv.mem != r.buf {
 					return false
 				}
 				r.oL = off
@@ -291,9 +289,9 @@ func (lc *loopCode) runParallel(fr *frame, start, stride, iters int64) (bool, er
 	}
 	ok := probe(start, 0) && probe(start+stride, 1) && probe(start+(iters-1)*stride, 2)
 	// Restore entry state for whichever driver runs next.
-	fr.regs[lc.iv].I = start
-	for j, s := range lc.derSlots {
-		fr.regs[s].I = fr.scratch[lc.saveOff+j].I
+	fr.s[lc.iv].i = start
+	for j, d := range lc.derSlots {
+		fr.s[d].i = fr.s[lc.saveOff+j].i
 	}
 	if !ok || !lc.admit(recs, iters, fr) {
 		return false, nil
@@ -308,11 +306,14 @@ func (lc *loopCode) runParallel(fr *frame, start, stride, iters int64) (bool, er
 	for w := 0; w < workers; w++ {
 		ranges[w].init(owners[w], owners[w+1])
 	}
-	var partials []vm.Value
-	var seed vm.Value
+	var partials []accState
+	var seed accState
 	if lc.carried {
-		partials = make([]vm.Value, chunks)
-		seed = pp.reduce.seed(fr.regs[lc.accSlot])
+		partials = make([]accState, chunks)
+		seed.s = pp.reduce.id
+		if pp.reduce.seedInit {
+			lc.saveAcc(fr, &seed)
+		}
 	}
 	errs := make([]error, chunks)
 	wms := make([]*vm.Machine, workers)
@@ -322,7 +323,7 @@ func (lc *loopCode) runParallel(fr *frame, start, stride, iters int64) (bool, er
 		wg.Add(1)
 		dispatch(func() {
 			defer wg.Done()
-			lc.lane(fr, lane, ranges, chunkSize, iters, start, stride, seed, partials, errs, wms)
+			lc.lane(fr, lane, ranges, chunkSize, iters, start, stride, &seed, partials, errs, wms)
 		})
 	}
 	wg.Wait()
@@ -345,13 +346,45 @@ func (lc *loopCode) runParallel(fr *frame, start, stride, iters int64) (bool, er
 	}
 	lc.addCounts(fr.m, iters)
 	if lc.carried {
-		acc := fr.regs[lc.accSlot]
-		for k := 0; k < chunks; k++ {
-			acc = pp.reduce.fold(acc, partials[k])
+		// Fold in ascending chunk order with the body's own arithmetic.
+		red := pp.reduce
+		for k := range partials {
+			if lc.acc.vec() {
+				red.vecFold(&fr.v[lc.acc.idx].V, &partials[k].v)
+				continue
+			}
+			fr.s[red.tmp] = partials[k].s
+			// Scalar folds never fail: the whitelisted reductions are
+			// non-faulting integer ops.
+			_ = red.fold(fr)
 		}
-		fr.regs[lc.accSlot] = acc
 	}
 	return true, nil
+}
+
+// accState is one chunk's accumulator, in whichever register class the
+// loop carries.
+type accState struct {
+	s sreg
+	v vm.Vec
+}
+
+// loadAcc writes a into the frame's accumulator register.
+func (lc *loopCode) loadAcc(fr *frame, a *accState) {
+	if lc.acc.vec() {
+		fr.v[lc.acc.idx].V = a.v
+	} else {
+		fr.s[lc.acc.idx] = a.s
+	}
+}
+
+// saveAcc reads the frame's accumulator register into a.
+func (lc *loopCode) saveAcc(fr *frame, a *accState) {
+	if lc.acc.vec() {
+		a.v = fr.v[lc.acc.idx].V
+	} else {
+		a.s = fr.s[lc.acc.idx]
+	}
 }
 
 // admit applies the post-probe checks: three-point linearity and full
@@ -432,13 +465,13 @@ func (lc *loopCode) admit(recs []probeRec, iters int64, fr *frame) bool {
 			return false
 		}
 	}
-	for _, ref := range pp.freeRoots {
-		rv := ref.get(fr)
-		if rv.Mem == nil {
+	for _, root := range pp.freeRoots {
+		mem := fr.s[root].mem
+		if mem == nil {
 			return false
 		}
 		for j := range groups {
-			if groups[j].buf == rv.Mem {
+			if groups[j].buf == mem {
 				return false
 			}
 		}
@@ -451,18 +484,18 @@ func (lc *loopCode) admit(recs []probeRec, iters int64, fr *frame) bool {
 // chunk queues. Completed iterations feed the frame's arena tally even
 // on error, so ArenaStats never undercounts.
 func (lc *loopCode) lane(parent *frame, w int, ranges []chunkRange, chunkSize, iters, start, stride int64,
-	seed vm.Value, partials []vm.Value, errs []error, wms []*vm.Machine) {
+	seed *accState, partials []accState, errs []error, wms []*vm.Machine) {
 	p := lc.prog
 	wm := parent.m.Worker()
 	wms[w] = wm
 	poolGets.Add(1)
 	wfr := p.pool.Get().(*frame)
 	wfr.m = wm
-	copy(wfr.regs, parent.regs)
-	if lc.nDer > 0 {
-		copy(wfr.scratch[lc.saveOff:lc.saveOff+2*lc.nDer],
-			parent.scratch[lc.saveOff:lc.saveOff+2*lc.nDer])
-	}
+	// The scalar file carries the derived save/step area along with
+	// the registers.
+	copy(wfr.s, parent.s)
+	copy(wfr.v, parent.v)
+	step := parent.s[lc.saveOff+lc.nDer : lc.saveOff+2*lc.nDer]
 	for {
 		k, stolen, ok := nextChunk(ranges, w)
 		if !ok {
@@ -477,16 +510,15 @@ func (lc *loopCode) lane(parent *frame, w int, ranges []chunkRange, chunkSize, i
 			cnt = iters - k0
 		}
 		i0 := start + k0*stride
-		wfr.regs[lc.iv].I = i0
-		for j, s := range lc.derSlots {
+		wfr.s[lc.iv].i = i0
+		for j, d := range lc.derSlots {
 			// Exact jump to iteration k0: serial advances the derived
 			// value by int32(save + t*step) steps, and modular i32
 			// arithmetic lets the chunk start compute it directly.
-			wfr.regs[s].I = int64(int32(parent.scratch[lc.saveOff+j].I +
-				k0*parent.scratch[lc.saveOff+lc.nDer+j].I))
+			wfr.s[d].i = int64(int32(parent.s[lc.saveOff+j].i + k0*step[j].i))
 		}
 		if lc.carried {
-			wfr.regs[lc.accSlot] = seed
+			lc.loadAcc(wfr, seed)
 		}
 		done, err := lc.span(wfr, i0, stride, cnt)
 		wfr.arena += done
@@ -495,7 +527,7 @@ func (lc *loopCode) lane(parent *frame, w int, ranges []chunkRange, chunkSize, i
 			continue
 		}
 		if lc.carried {
-			partials[k] = wfr.regs[lc.accSlot]
+			lc.saveAcc(wfr, &partials[k])
 		}
 	}
 	releaseFrame(p, wfr)

@@ -126,8 +126,9 @@ type Intrinsic struct {
 	Fn func(m *Machine, args []Value) (Value, error)
 	// FnInto, when non-nil, is the destination-passing fast path: it
 	// writes the result into *out instead of returning a Value, so the
-	// interpreter can evaluate straight into a register or arena slot
-	// without copying the 112-byte Value through a return. out never
+	// interpreter can evaluate straight into a vector register or
+	// operand-arena slot without copying the 120-byte Value through a
+	// return. out never
 	// aliases an element of args, must be non-nil even for void
 	// intrinsics (which leave it untouched), and after a successful call
 	// holds exactly the Value that Fn would have returned.
