@@ -38,7 +38,7 @@ race:
 # Bounded fuzz smoke: each fuzz target runs for FUZZTIME.
 # `go test -fuzz` accepts one target per invocation, hence the loop.
 fuzz:
-	@for t in FuzzF16RoundTrip FuzzXorshiftUniform FuzzIntoOpsAgree; do \
+	@for t in FuzzF16RoundTrip FuzzXorshiftUniform FuzzOpsOverwriteDest; do \
 		echo "fuzz $$t ($(FUZZTIME))"; \
 		$(GO) test -run xxx -fuzz "^$$t$$" -fuzztime $(FUZZTIME) ./internal/vm || exit 1; \
 	done

@@ -976,13 +976,17 @@ func (g *gen) binary(n *ir.Node, t, opT ir.Type) error {
 		g.ind--
 		g.p("} else {")
 		g.ind++
-		g.p("%s = %s", x, w(fmt.Sprintf("(%s) %% (%s)", ai, bi)))
+		if signed {
+			g.p("%s = %s", x, w(fmt.Sprintf("(%s) %% (%s)", ai, bi)))
+		} else {
+			g.p("%s = %s", x, w(fmt.Sprintf("int64(uint64(%s) %% uint64(%s))", ai, bi)))
+		}
 		g.ind--
 		g.p("}")
 		g.p("_ = %s", x)
 	case ir.OpMin:
 		g.p("var %s %s", x, goType(opT.Kind))
-		g.p("if (%s) < (%s) {", bi, ai)
+		g.p("if %s {", order(signed, bi, "<", ai))
 		g.ind++
 		g.p("%s = %s", x, w(bi))
 		g.ind--
@@ -994,7 +998,7 @@ func (g *gen) binary(n *ir.Node, t, opT ir.Type) error {
 		g.p("_ = %s", x)
 	case ir.OpMax:
 		g.p("var %s %s", x, goType(opT.Kind))
-		g.p("if (%s) > (%s) {", bi, ai)
+		g.p("if %s {", order(signed, bi, ">", ai))
 		g.ind++
 		g.p("%s = %s", x, w(bi))
 		g.ind--
@@ -1024,13 +1028,20 @@ func (g *gen) binary(n *ir.Node, t, opT ir.Type) error {
 		emit(fmt.Sprintf("(%s) != (%s)", ai, bi))
 	case ir.OpLt, ir.OpLe, ir.OpGt, ir.OpGe:
 		sym := map[string]string{ir.OpLt: "<", ir.OpLe: "<=", ir.OpGt: ">", ir.OpGe: ">="}[d.Op]
-		if signed {
-			emit(fmt.Sprintf("(%s) %s (%s)", ai, sym, bi))
-		} else {
-			emit(fmt.Sprintf("uint64(%s) %s uint64(%s)", ai, sym, bi))
-		}
+		emit(order(signed, ai, sym, bi))
 	default:
 		return fmt.Errorf("unsupported integer op %s", d.Op)
 	}
 	return nil
+}
+
+// order renders the comparison a sym b of two int64 payloads: as int64
+// for signed kinds, as uint64 for unsigned ones (whose payloads are
+// zero-extended, so a u64 with the top bit set orders above every
+// other value).
+func order(signed bool, a, sym, b string) string {
+	if signed {
+		return fmt.Sprintf("(%s) %s (%s)", a, sym, b)
+	}
+	return fmt.Sprintf("uint64(%s) %s uint64(%s)", a, sym, b)
 }

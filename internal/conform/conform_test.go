@@ -11,12 +11,15 @@ import (
 
 	"math"
 
+	"repro/internal/backend/native"
 	"repro/internal/dsl"
 	"repro/internal/ir"
 	"repro/internal/irverify"
 	"repro/internal/isa"
+	"repro/internal/kernelc"
 	"repro/internal/kernels"
 	"repro/internal/obs"
+	"repro/internal/vm"
 )
 
 var update = flag.Bool("update", false, "regenerate testdata/corpus.json from the seed-1 stream")
@@ -275,6 +278,60 @@ func TestOracleAgainstKnownValues(t *testing.T) {
 		want := float32(math.FMA(float64(a.F32At(i)), 1.5, float64(b.F32At(i))))
 		if got := dst.F32At(i); got != want {
 			t.Fatalf("dst[%d] = %v, want %v", i, got, want)
+		}
+	}
+}
+
+// TestUnsignedOrderingAgrees stages one-node u64 div/rem/min/max
+// kernels and checks that the oracle, the interpreter and — when the
+// host can build plugins — the native backend all treat a u64 with the
+// top bit set as large, not negative.
+func TestUnsignedOrderingAgrees(t *testing.T) {
+	ops := []struct {
+		name  string
+		stage func(g *ir.Graph, a, b ir.Exp) ir.Exp
+		want  func(a, b uint64) uint64
+	}{
+		{ir.OpDiv, (*ir.Graph).Div, func(a, b uint64) uint64 { return a / b }},
+		{ir.OpRem, (*ir.Graph).Rem, func(a, b uint64) uint64 { return a % b }},
+		{ir.OpMin, (*ir.Graph).Min, func(a, b uint64) uint64 { return min(a, b) }},
+		{ir.OpMax, (*ir.Graph).Max, func(a, b uint64) uint64 { return max(a, b) }},
+	}
+	pairs := [][2]uint64{{^uint64(0), 3}, {5, ^uint64(0) - 1}, {1 << 63, 1<<63 + 1}, {7, 2}}
+	be := native.New()
+	for _, op := range ops {
+		f := ir.NewFunc("u64_"+op.name, ir.TU64, ir.TU64)
+		f.G.Root().Result = op.stage(f.G, f.Params[0], f.Params[1])
+		prog, err := kernelc.Compile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs := map[string]func(args []vm.Value) (vm.Value, error){
+			"oracle": func(args []vm.Value) (vm.Value, error) { return RunOracle(f, args) },
+			"vm": func(args []vm.Value) (vm.Value, error) {
+				return prog.Run(vm.NewMachine(isa.Haswell), args...)
+			},
+		}
+		if be.Available() == nil {
+			nat, err := be.Compile(f, kernelc.TierOpt)
+			if err != nil {
+				t.Fatalf("%s: native compile: %v", op.name, err)
+			}
+			runs["native"] = func(args []vm.Value) (vm.Value, error) {
+				return nat.Run(vm.NewMachine(isa.Haswell), args...)
+			}
+		}
+		for _, p := range pairs {
+			want := op.want(p[0], p[1])
+			for leg, run := range runs {
+				got, err := run([]vm.Value{{Kind: ir.KindU64, U: p[0]}, {Kind: ir.KindU64, U: p[1]}})
+				if err != nil {
+					t.Fatalf("%s %s(%#x, %#x): %v", leg, op.name, p[0], p[1], err)
+				}
+				if got.Kind != ir.KindU64 || got.U != want {
+					t.Errorf("%s %s(%#x, %#x) = %+v, want %#x", leg, op.name, p[0], p[1], got, want)
+				}
+			}
 		}
 	}
 }

@@ -260,6 +260,11 @@ func (o *oracle) scalar(d *ir.Def) (vm.Value, error) {
 	if len(args) == 2 && t.IsInteger() {
 		a, b := args[0].AsInt(), args[1].AsInt()
 		wrap := func(v int64) (vm.Value, error) { return truncInt(t, v), nil }
+		// Unsigned payloads are zero-extended: division, remainder and
+		// ordering treat them as uint64, so a u64 with the top bit set
+		// is large, not negative. Division by zero yields 0.
+		ua, ub := uint64(a), uint64(b)
+		unsigned := !t.IsSigned()
 		switch d.Op {
 		case ir.OpAdd:
 			return wrap(a + b)
@@ -267,6 +272,27 @@ func (o *oracle) scalar(d *ir.Def) (vm.Value, error) {
 			return wrap(a - b)
 		case ir.OpMul:
 			return wrap(a * b)
+		case ir.OpDiv, ir.OpRem:
+			switch {
+			case b == 0:
+				return wrap(0)
+			case unsigned && d.Op == ir.OpDiv:
+				return wrap(int64(ua / ub))
+			case unsigned:
+				return wrap(int64(ua % ub))
+			case d.Op == ir.OpDiv:
+				return wrap(a / b)
+			}
+			return wrap(a % b)
+		case ir.OpMin, ir.OpMax:
+			before, after := b < a, b > a
+			if unsigned {
+				before, after = ub < ua, ub > ua
+			}
+			if d.Op == ir.OpMin && before || d.Op == ir.OpMax && after {
+				return wrap(b)
+			}
+			return wrap(a)
 		}
 		return vm.Value{}, fmt.Errorf("unsupported int op %s", d.Op)
 	}

@@ -412,6 +412,9 @@ func foldBinop(op string, t Type, a, b Exp) (Exp, bool) {
 			return ConstOf(t, v), true
 		}
 		if t.IsInteger() {
+			// Unsigned payloads divide and order as uint64, as at run time.
+			ua, ub := uint64(ia), uint64(ib)
+			unsigned := !t.IsSigned()
 			var v int64
 			switch op {
 			case OpAdd:
@@ -420,20 +423,29 @@ func foldBinop(op string, t Type, a, b Exp) (Exp, bool) {
 				v = ia - ib
 			case OpMul:
 				v = ia * ib
-			case OpDiv:
-				if ib == 0 {
+			case OpDiv, OpRem:
+				switch {
+				case ib == 0:
 					return nil, false
+				case unsigned && op == OpDiv:
+					v = int64(ua / ub)
+				case unsigned:
+					v = int64(ua % ub)
+				case op == OpDiv:
+					v = ia / ib
+				default:
+					v = ia % ib
 				}
-				v = ia / ib
-			case OpRem:
-				if ib == 0 {
-					return nil, false
-				}
-				v = ia % ib
 			case OpMin:
-				v = minI(ia, ib)
+				v = min(ia, ib)
+				if unsigned {
+					v = int64(min(ua, ub))
+				}
 			case OpMax:
-				v = maxI(ia, ib)
+				v = max(ia, ib)
+				if unsigned {
+					v = int64(max(ua, ub))
+				}
 			}
 			return truncConst(t, v), true
 		}
@@ -524,18 +536,6 @@ func minF(a, b float64) float64 {
 	return b
 }
 func maxF(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-func minI(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-func maxI(a, b int64) int64 {
 	if a > b {
 		return a
 	}

@@ -110,6 +110,22 @@ func TestFoldWrapAround(t *testing.T) {
 	if gu != Exp(wantu) {
 		t.Errorf("u8 overflow folded to %v, want %v", gu, wantu)
 	}
+	// A u64 with the top bit set is large, not negative.
+	big, small := ConstU64(^uint64(0)), ConstU64(3)
+	for _, c := range []struct {
+		op   string
+		got  Exp
+		want uint64
+	}{
+		{OpMin, g.Min(big, small), 3},
+		{OpMax, g.Max(big, small), ^uint64(0)},
+		{OpDiv, g.Div(big, small), ^uint64(0) / 3},
+		{OpRem, g.Rem(big, ConstU64(7)), ^uint64(0) % 7},
+	} {
+		if c.got != Exp(ConstU64(c.want)) {
+			t.Errorf("u64 %s folded to %v, want %#x", c.op, c.got, c.want)
+		}
+	}
 }
 
 func TestDCEDropsUnusedPureKeepsStores(t *testing.T) {

@@ -14,8 +14,10 @@
 // closure that reads its operands in place and writes only its own
 // result fields. Values are boxed into vm.Value only at the boundaries:
 // Program.Run's arguments and result, and intrinsic operands, which are
-// gathered field by field into the frame's operand arena because the vm
-// intrinsic ABI takes a []vm.Value. Dynamic instruction counts (per
+// gathered field by field into the frame's operand arena because every
+// vm intrinsic has one destination-passing body, vm.Intrinsic.Fn, that
+// reads its operands as a []vm.Value and writes its result straight into
+// a vector register or arena slot. Dynamic instruction counts (per
 // intrinsic name, plus scalar.* pseudo-ops for the host-language
 // constructs) accumulate in the machine's Counter, which the analytical
 // cost model converts to cycles.
@@ -770,8 +772,7 @@ type gather struct {
 // producer evaluated straight into its operand slot.
 type callSite struct {
 	name   string
-	fn     func(m *vm.Machine, args []vm.Value) (vm.Value, error)
-	fnInto func(m *vm.Machine, args []vm.Value, out *vm.Value) error
+	fn     func(m *vm.Machine, args []vm.Value, out *vm.Value) error
 	gather []gather
 	off    int
 	end    int
@@ -807,18 +808,9 @@ func (cs *callSite) call(fr *frame, out *vm.Value) error {
 			return err
 		}
 	}
-	args := v[cs.off:cs.end]
-	if cs.fnInto != nil {
-		if err := cs.fnInto(fr.m, args, out); err != nil {
-			return fmt.Errorf("%s: %w", cs.name, err)
-		}
-		return nil
-	}
-	r, err := cs.fn(fr.m, args)
-	if err != nil {
+	if err := cs.fn(fr.m, v[cs.off:cs.end], out); err != nil {
 		return fmt.Errorf("%s: %w", cs.name, err)
 	}
-	*out = r
 	return nil
 }
 
@@ -830,7 +822,7 @@ func (c *compiler) compileIntrinsic(n *ir.Node, inl *inline) (*valNode, error) {
 		// native toolchain cannot execute it on this machine.
 		return nil, fmt.Errorf("intrinsic %s has no executable semantic in the vm", name)
 	}
-	cs := &callSite{name: name, fn: in.Fn, fnInto: in.FnInto, off: len(c.vInit)}
+	cs := &callSite{name: name, fn: in.Fn, off: len(c.vInit)}
 	for i, a := range n.Def.Args {
 		k := a.Type().Kind
 		switch cst, isConst := a.(ir.Const); {

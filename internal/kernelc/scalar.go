@@ -2,6 +2,7 @@ package kernelc
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/ir"
 )
@@ -217,13 +218,19 @@ func boolOp(opName string, d, a, b int) (op, error) {
 }
 
 // intOp compiles integer ops: compute in int64 (unsigned values are
-// zero-extended, so division, right shifts and ordered compares switch
-// to uint64 for unsigned kinds), then wrap into the result width.
-// Division and remainder by zero yield 0; shift counts are masked to
-// 0..63. Remainder, min and max compare as int64 at every kind.
+// zero-extended, so division, remainder, min, max, right shifts and
+// ordered compares switch to uint64 for unsigned kinds), then wrap into
+// the result width. Division and remainder by zero yield 0; shift
+// counts are masked to 0..63.
 func intOp(opName string, t ir.Type, d, a, b int) (op, error) {
 	w := widthOf(t.Kind)
 	signed := t.IsSigned()
+	// Flipping the top bit maps uint64 order onto int64 order, so min
+	// and max compare x^bias for every kind.
+	var bias int64
+	if !signed {
+		bias = math.MinInt64
+	}
 	switch opName {
 	case ir.OpAdd:
 		return func(fr *frame) error { s := fr.s; s[d].i = w.wrap(s[a].i + s[b].i); return nil }, nil
@@ -253,6 +260,17 @@ func intOp(opName string, t ir.Type, d, a, b int) (op, error) {
 			return nil
 		}, nil
 	case ir.OpRem:
+		if !signed {
+			return func(fr *frame) error {
+				s := fr.s
+				var r int64
+				if y := uint64(s[b].i); y != 0 {
+					r = int64(uint64(s[a].i) % y)
+				}
+				s[d].i = w.wrap(r)
+				return nil
+			}, nil
+		}
 		return func(fr *frame) error {
 			s := fr.s
 			var r int64
@@ -266,7 +284,7 @@ func intOp(opName string, t ir.Type, d, a, b int) (op, error) {
 		return func(fr *frame) error {
 			s := fr.s
 			x, y := s[a].i, s[b].i
-			if y < x {
+			if y^bias < x^bias {
 				x = y
 			}
 			s[d].i = w.wrap(x)
@@ -276,7 +294,7 @@ func intOp(opName string, t ir.Type, d, a, b int) (op, error) {
 		return func(fr *frame) error {
 			s := fr.s
 			x, y := s[a].i, s[b].i
-			if y > x {
+			if y^bias > x^bias {
 				x = y
 			}
 			s[d].i = w.wrap(x)

@@ -14,9 +14,7 @@ import (
 // agree with Go's own arithmetic on the matching Go type. The reference
 // spells out the interpreter's documented deviations from plain Go:
 // integer division and remainder by zero yield 0, shift counts are
-// masked to 0..63, remainder/min/max order integer payloads as int64
-// (so u64 values with the top bit set compare as negative, as in the
-// native backend), integer→f32 conversion rounds through float64,
+// masked to 0..63, integer→f32 conversion rounds through float64,
 // float→integer conversion truncates through int64 with NaN → 0, and
 // →bool conversion tests the int64 value against zero.
 
@@ -185,7 +183,6 @@ func boxInt[T integer](k ir.Kind, v T) vm.Value {
 
 func refInt[T integer](k ir.Kind, op string, x, y T) vm.Value {
 	box := func(v T) vm.Value { return boxInt(k, v) }
-	sx, sy := int64(x), int64(y) // the int64 payload a register holds
 	sh := uint64(y) & 63
 	switch op {
 	case ir.OpAdd:
@@ -203,17 +200,11 @@ func refInt[T integer](k ir.Kind, op string, x, y T) vm.Value {
 		if y == 0 {
 			return box(0)
 		}
-		return box(T(sx % sy))
+		return box(x % y)
 	case ir.OpMin:
-		if sy < sx {
-			return box(y)
-		}
-		return box(x)
+		return box(min(x, y))
 	case ir.OpMax:
-		if sy > sx {
-			return box(y)
-		}
-		return box(x)
+		return box(max(x, y))
 	case ir.OpAnd:
 		return box(x & y)
 	case ir.OpOr:
@@ -408,6 +399,8 @@ func FuzzScalarOpsAgree(f *testing.F) {
 		{f64NInf, f64Big, false},    // f64 -Inf, out-of-range conversions
 		{f64Trunc, 0x3ff0000000000000, true},
 		{0x3f800000, 0x322bcc77, false}, // f32 1 + 1e-8 must round
+		{^uint64(0), 3, false},          // u64 top bit: unsigned rem/min/max
+		{5, ^uint64(0) - 1, true},       // u64 top bit as the divisor
 	}
 	for _, s := range seeds {
 		f.Add(s.a, s.b, s.c)

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/cachesim"
+	"repro/internal/ir"
 	"repro/internal/isa"
 	"repro/internal/obs"
 )
@@ -122,50 +123,30 @@ func (c Counter) Clone() Counter {
 // Intrinsic is one executable intrinsic semantic.
 type Intrinsic struct {
 	Name string
-	// Fn evaluates the intrinsic. Void intrinsics return the zero Value.
-	Fn func(m *Machine, args []Value) (Value, error)
-	// FnInto, when non-nil, is the destination-passing fast path: it
-	// writes the result into *out instead of returning a Value, so the
-	// interpreter can evaluate straight into a vector register or
-	// operand-arena slot without copying the 120-byte Value through a
-	// return. out never
-	// aliases an element of args, must be non-nil even for void
-	// intrinsics (which leave it untouched), and after a successful call
-	// holds exactly the Value that Fn would have returned.
-	FnInto func(m *Machine, args []Value, out *Value) error
+	// Fn evaluates the intrinsic into *out, so the interpreter can
+	// evaluate straight into a vector register or operand-arena slot.
+	// out never aliases an element of args and must be non-nil even for
+	// void intrinsics, which leave it untouched. A successful call sets
+	// out.Kind and out.V for a register result and the whole of *out for
+	// a scalar result, so a reused destination needs no clearing; the
+	// scalar fields of a register result keep whatever they held.
+	Fn func(m *Machine, args []Value, out *Value) error
 }
 
 var registry = map[string]Intrinsic{}
 
-// intoRegistry holds the destination-passing fast paths, keyed by
-// intrinsic name. It is separate from registry so the semantics files
-// need no particular init order; Lookup merges the two views.
-var intoRegistry = map[string]func(m *Machine, args []Value, out *Value) error{}
-
 // register installs a semantic; duplicate registration is a programming
 // error caught at init.
-func register(name string, fn func(m *Machine, args []Value) (Value, error)) {
+func register(name string, fn func(m *Machine, args []Value, out *Value) error) {
 	if _, dup := registry[name]; dup {
 		panic(fmt.Sprintf("vm: duplicate intrinsic semantic %s", name))
 	}
 	registry[name] = Intrinsic{Name: name, Fn: fn}
 }
 
-// registerInto installs the destination-passing fast path for an
-// intrinsic. A test asserts every entry matches a register() name.
-func registerInto(name string, fn func(m *Machine, args []Value, out *Value) error) {
-	if _, dup := intoRegistry[name]; dup {
-		panic(fmt.Sprintf("vm: duplicate in-place semantic %s", name))
-	}
-	intoRegistry[name] = fn
-}
-
 // Lookup finds an intrinsic's executable semantic.
 func Lookup(name string) (Intrinsic, bool) {
 	in, ok := registry[name]
-	if ok {
-		in.FnInto = intoRegistry[name]
-	}
 	return in, ok
 }
 
@@ -180,21 +161,6 @@ func Implemented(name string) bool {
 // semantics.
 func ImplementedCount() int { return len(registry) }
 
-// IntoCount returns the number of intrinsics with a destination-passing
-// fast path.
-func IntoCount() int { return len(intoRegistry) }
-
-// IntoNames lists the intrinsics with a destination-passing fast path,
-// sorted by name.
-func IntoNames() []string {
-	out := make([]string, 0, len(intoRegistry))
-	for k := range intoRegistry {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // ImplementedNames lists all executable intrinsics sorted by name.
 func ImplementedNames() []string {
 	out := make([]string, 0, len(registry))
@@ -205,19 +171,22 @@ func ImplementedNames() []string {
 	return out
 }
 
-// Call executes an intrinsic by name, counting it.
+// Call executes an intrinsic by name, counting it, and returns its
+// result (the zero Value for void intrinsics).
 func (m *Machine) Call(name string, args ...Value) (Value, error) {
 	in, ok := registry[name]
 	if !ok {
 		return Value{}, fmt.Errorf("vm: intrinsic %s has no executable semantic", name)
 	}
 	m.Counts.Add(name, 1)
-	return in.Fn(m, args)
+	var out Value
+	if err := in.Fn(m, args, &out); err != nil {
+		return Value{}, err
+	}
+	return out, nil
 }
 
-// --- argument helpers used by the semantics files ---------------------------
-
-func argVec(args []Value, i int) Vec { return args[i].V }
+// --- helpers used by the semantics files ------------------------------------
 
 func argInt(args []Value, i int) int { return int(args[i].AsInt()) }
 
@@ -228,6 +197,24 @@ func argPtr(args []Value, i int) (*Buffer, int, error) {
 	return args[i].Mem, args[i].Off, nil
 }
 
-func vecResult(v Vec) (Value, error) { return VecValue(v), nil }
+// vecOut marks out as a register result and returns its lanes, zeroed,
+// for in-place writes. Only Kind and V are touched.
+func vecOut(out *Value) *Vec {
+	out.Kind = ir.KindVec
+	out.V = Vec{}
+	return &out.V
+}
 
-func voidResult() (Value, error) { return Value{}, nil }
+// vecCopy is vecOut for bodies that start from a copy of an operand and
+// update some of its lanes.
+func vecCopy(out *Value, src *Vec) *Vec {
+	out.Kind = ir.KindVec
+	out.V = *src
+	return &out.V
+}
+
+// scalar writes a scalar result over the whole of *out.
+func scalar(out *Value, v Value) error {
+	*out = v
+	return nil
+}

@@ -24,57 +24,18 @@ func widthOf(name string) int {
 	}
 }
 
-// --- registration helpers ----------------------------------------------------
-
-func regBinF32(name string, f func(x, y float32) float32) {
-	bits := widthOf(name)
-	register(name, func(m *Machine, args []Value) (Value, error) {
-		return vecResult(mapF32(bits, argVec(args, 0), argVec(args, 1), f))
-	})
-}
-
-func regBinF64(name string, f func(x, y float64) float64) {
-	bits := widthOf(name)
-	register(name, func(m *Machine, args []Value) (Value, error) {
-		return vecResult(mapF64(bits, argVec(args, 0), argVec(args, 1), f))
-	})
-}
-
-func regUnF32(name string, f func(x float32) float32) {
-	bits := widthOf(name)
-	register(name, func(m *Machine, args []Value) (Value, error) {
-		return vecResult(map1F32(bits, argVec(args, 0), f))
-	})
-}
-
-func regUnF64(name string, f func(x float64) float64) {
-	bits := widthOf(name)
-	register(name, func(m *Machine, args []Value) (Value, error) {
-		return vecResult(map1F64(bits, argVec(args, 0), f))
-	})
-}
-
 // scalar (ss/sd) ops: lane 0 computed, upper lanes copied from a.
 func regBinSS(name string, f func(x, y float32) float32) {
-	register(name, func(m *Machine, args []Value) (Value, error) {
-		out := argVec(args, 0)
-		out.SetF32(0, f(args[0].V.F32(0), args[1].V.F32(0)))
-		return vecResult(out)
+	register(name, func(m *Machine, args []Value, out *Value) error {
+		vecCopy(out, &args[0].V).SetF32(0, f(args[0].V.F32(0), args[1].V.F32(0)))
+		return nil
 	})
 }
 
 func regBinSD(name string, f func(x, y float64) float64) {
-	register(name, func(m *Machine, args []Value) (Value, error) {
-		out := argVec(args, 0)
-		out.SetF64(0, f(args[0].V.F64(0), args[1].V.F64(0)))
-		return vecResult(out)
-	})
-}
-
-func regBitwise(name string, f func(x, y byte) byte) {
-	bits := widthOf(name)
-	register(name, func(m *Machine, args []Value) (Value, error) {
-		return vecResult(bitwise(bits, argVec(args, 0), argVec(args, 1), f))
+	register(name, func(m *Machine, args []Value, out *Value) error {
+		vecCopy(out, &args[0].V).SetF64(0, f(args[0].V.F64(0), args[1].V.F64(0)))
+		return nil
 	})
 }
 
@@ -94,11 +55,11 @@ func mask64(t bool) float64 {
 }
 
 func regCmpF32(name string, f func(x, y float32) bool) {
-	regBinF32(name, func(x, y float32) float32 { return mask32(f(x, y)) })
+	regLanes(name, mapF32, func(x, y float32) float32 { return mask32(f(x, y)) })
 }
 
 func regCmpF64(name string, f func(x, y float64) bool) {
-	regBinF64(name, func(x, y float64) float64 { return mask64(f(x, y)) })
+	regLanes(name, mapF64, func(x, y float64) float64 { return mask64(f(x, y)) })
 }
 
 // fAdd/fSub etc. — shared float kernels.
@@ -143,20 +104,20 @@ func bAndNot(x, y byte) byte { return ^x & y } // x is NOT'd, per Intel
 func init() {
 	// ---- packed float arithmetic (SSE/SSE2/AVX/AVX-512) ----------------
 	for _, pfx := range []string{"_mm_", "_mm256_", "_mm512_"} {
-		regBinF32(pfx+"add_ps", fAdd32)
-		regBinF32(pfx+"sub_ps", fSub32)
-		regBinF32(pfx+"mul_ps", fMul32)
-		regBinF32(pfx+"div_ps", fDiv32)
-		regBinF32(pfx+"min_ps", fMin32)
-		regBinF32(pfx+"max_ps", fMax32)
-		regBinF64(pfx+"add_pd", fAdd64)
-		regBinF64(pfx+"sub_pd", fSub64)
-		regBinF64(pfx+"mul_pd", fMul64)
-		regBinF64(pfx+"div_pd", fDiv64)
-		regBinF64(pfx+"min_pd", fMin64)
-		regBinF64(pfx+"max_pd", fMax64)
-		regUnF32(pfx+"sqrt_ps", func(x float32) float32 { return float32(math.Sqrt(float64(x))) })
-		regUnF64(pfx+"sqrt_pd", math.Sqrt)
+		regLanes(pfx+"add_ps", mapF32, fAdd32)
+		regLanes(pfx+"sub_ps", mapF32, fSub32)
+		regLanes(pfx+"mul_ps", mapF32, fMul32)
+		regLanes(pfx+"div_ps", mapF32, fDiv32)
+		regLanes(pfx+"min_ps", mapF32, fMin32)
+		regLanes(pfx+"max_ps", mapF32, fMax32)
+		regLanes(pfx+"add_pd", mapF64, fAdd64)
+		regLanes(pfx+"sub_pd", mapF64, fSub64)
+		regLanes(pfx+"mul_pd", mapF64, fMul64)
+		regLanes(pfx+"div_pd", mapF64, fDiv64)
+		regLanes(pfx+"min_pd", mapF64, fMin64)
+		regLanes(pfx+"max_pd", mapF64, fMax64)
+		regLanes(pfx+"sqrt_ps", map1F32, func(x float32) float32 { return float32(math.Sqrt(float64(x))) })
+		regLanes(pfx+"sqrt_pd", map1F64, math.Sqrt)
 	}
 	regBinSS("_mm_add_ss", fAdd32)
 	regBinSS("_mm_sub_ss", fSub32)
@@ -173,18 +134,18 @@ func init() {
 
 	// Approximate reciprocal ops (full precision here; the hardware's
 	// 12-bit approximation is below the resolution this study needs).
-	regUnF32("_mm_rcp_ps", func(x float32) float32 { return 1 / x })
-	regUnF32("_mm256_rcp_ps", func(x float32) float32 { return 1 / x })
-	regUnF32("_mm_rsqrt_ps", func(x float32) float32 { return float32(1 / math.Sqrt(float64(x))) })
-	regUnF32("_mm256_rsqrt_ps", func(x float32) float32 { return float32(1 / math.Sqrt(float64(x))) })
+	regLanes("_mm_rcp_ps", map1F32, func(x float32) float32 { return 1 / x })
+	regLanes("_mm256_rcp_ps", map1F32, func(x float32) float32 { return 1 / x })
+	regLanes("_mm_rsqrt_ps", map1F32, func(x float32) float32 { return float32(1 / math.Sqrt(float64(x))) })
+	regLanes("_mm256_rsqrt_ps", map1F32, func(x float32) float32 { return float32(1 / math.Sqrt(float64(x))) })
 
 	// ---- logical on float registers -------------------------------------
 	for _, pfx := range []string{"_mm_", "_mm256_"} {
 		for _, sfx := range []string{"_ps", "_pd"} {
-			regBitwise(pfx+"and"+sfx, bAnd)
-			regBitwise(pfx+"or"+sfx, bOr)
-			regBitwise(pfx+"xor"+sfx, bXor)
-			regBitwise(pfx+"andnot"+sfx, bAndNot)
+			regLanes(pfx+"and"+sfx, bitwise, bAnd)
+			regLanes(pfx+"or"+sfx, bitwise, bOr)
+			regLanes(pfx+"xor"+sfx, bitwise, bXor)
+			regLanes(pfx+"andnot"+sfx, bitwise, bAndNot)
 		}
 	}
 
@@ -204,21 +165,21 @@ func init() {
 		regCmpF64(pfx+"cmpneq_pd", func(x, y float64) bool { return x != y })
 	}
 	// AVX's predicate-parameter compare: _mm256_cmp_ps/pd(a, b, imm8).
-	register("_mm256_cmp_ps", func(m *Machine, args []Value) (Value, error) {
+	register("_mm256_cmp_ps", func(m *Machine, args []Value, out *Value) error {
 		pred, err := cmpPredicate(argInt(args, 2))
 		if err != nil {
-			return Value{}, err
+			return err
 		}
-		return vecResult(mapF32(256, argVec(args, 0), argVec(args, 1),
-			func(x, y float32) float32 { return mask32(pred(float64(x), float64(y))) }))
+		mapF32(256, args, out, func(x, y float32) float32 { return mask32(pred(float64(x), float64(y))) })
+		return nil
 	})
-	register("_mm256_cmp_pd", func(m *Machine, args []Value) (Value, error) {
+	register("_mm256_cmp_pd", func(m *Machine, args []Value, out *Value) error {
 		pred, err := cmpPredicate(argInt(args, 2))
 		if err != nil {
-			return Value{}, err
+			return err
 		}
-		return vecResult(mapF64(256, argVec(args, 0), argVec(args, 1),
-			func(x, y float64) float64 { return mask64(pred(x, y)) }))
+		mapF64(256, args, out, func(x, y float64) float64 { return mask64(pred(x, y)) })
+		return nil
 	})
 
 	// ---- horizontal and alternating arithmetic ---------------------------
@@ -265,56 +226,55 @@ func cmpPredicate(imm int) (func(x, y float64) bool, error) {
 // registerHaddFamily installs hadd/hsub/addsub for ps/pd at 128 and 256
 // bits. AVX horizontal ops work within each 128-bit lane independently.
 func registerHaddFamily() {
-	haddPS := func(bits int) func(m *Machine, args []Value) (Value, error) {
-		return func(m *Machine, args []Value) (Value, error) {
-			a, b := argVec(args, 0), argVec(args, 1)
-			var out Vec
+	// The pair arithmetic stays inline: when both operands are NaN, which
+	// payload survives depends on the instruction the compiler picks, and
+	// the inline form is the one the native backend matches.
+	haddPS := func(bits int) func(m *Machine, args []Value, out *Value) error {
+		return func(m *Machine, args []Value, out *Value) error {
+			a, b, v := &args[0].V, &args[1].V, vecOut(out)
 			for lane := 0; lane < bits/128; lane++ {
 				o := lane * 4
-				out.SetF32(o+0, a.F32(o+0)+a.F32(o+1))
-				out.SetF32(o+1, a.F32(o+2)+a.F32(o+3))
-				out.SetF32(o+2, b.F32(o+0)+b.F32(o+1))
-				out.SetF32(o+3, b.F32(o+2)+b.F32(o+3))
+				v.SetF32(o+0, a.F32(o+0)+a.F32(o+1))
+				v.SetF32(o+1, a.F32(o+2)+a.F32(o+3))
+				v.SetF32(o+2, b.F32(o+0)+b.F32(o+1))
+				v.SetF32(o+3, b.F32(o+2)+b.F32(o+3))
 			}
-			return vecResult(out)
+			return nil
 		}
 	}
-	hsubPS := func(bits int) func(m *Machine, args []Value) (Value, error) {
-		return func(m *Machine, args []Value) (Value, error) {
-			a, b := argVec(args, 0), argVec(args, 1)
-			var out Vec
+	hsubPS := func(bits int) func(m *Machine, args []Value, out *Value) error {
+		return func(m *Machine, args []Value, out *Value) error {
+			a, b, v := &args[0].V, &args[1].V, vecOut(out)
 			for lane := 0; lane < bits/128; lane++ {
 				o := lane * 4
-				out.SetF32(o+0, a.F32(o+0)-a.F32(o+1))
-				out.SetF32(o+1, a.F32(o+2)-a.F32(o+3))
-				out.SetF32(o+2, b.F32(o+0)-b.F32(o+1))
-				out.SetF32(o+3, b.F32(o+2)-b.F32(o+3))
+				v.SetF32(o+0, a.F32(o+0)-a.F32(o+1))
+				v.SetF32(o+1, a.F32(o+2)-a.F32(o+3))
+				v.SetF32(o+2, b.F32(o+0)-b.F32(o+1))
+				v.SetF32(o+3, b.F32(o+2)-b.F32(o+3))
 			}
-			return vecResult(out)
+			return nil
 		}
 	}
-	haddPD := func(bits int) func(m *Machine, args []Value) (Value, error) {
-		return func(m *Machine, args []Value) (Value, error) {
-			a, b := argVec(args, 0), argVec(args, 1)
-			var out Vec
+	haddPD := func(bits int) func(m *Machine, args []Value, out *Value) error {
+		return func(m *Machine, args []Value, out *Value) error {
+			a, b, v := &args[0].V, &args[1].V, vecOut(out)
 			for lane := 0; lane < bits/128; lane++ {
 				o := lane * 2
-				out.SetF64(o+0, a.F64(o+0)+a.F64(o+1))
-				out.SetF64(o+1, b.F64(o+0)+b.F64(o+1))
+				v.SetF64(o+0, a.F64(o+0)+a.F64(o+1))
+				v.SetF64(o+1, b.F64(o+0)+b.F64(o+1))
 			}
-			return vecResult(out)
+			return nil
 		}
 	}
-	hsubPD := func(bits int) func(m *Machine, args []Value) (Value, error) {
-		return func(m *Machine, args []Value) (Value, error) {
-			a, b := argVec(args, 0), argVec(args, 1)
-			var out Vec
+	hsubPD := func(bits int) func(m *Machine, args []Value, out *Value) error {
+		return func(m *Machine, args []Value, out *Value) error {
+			a, b, v := &args[0].V, &args[1].V, vecOut(out)
 			for lane := 0; lane < bits/128; lane++ {
 				o := lane * 2
-				out.SetF64(o+0, a.F64(o+0)-a.F64(o+1))
-				out.SetF64(o+1, b.F64(o+0)-b.F64(o+1))
+				v.SetF64(o+0, a.F64(o+0)-a.F64(o+1))
+				v.SetF64(o+1, b.F64(o+0)-b.F64(o+1))
 			}
-			return vecResult(out)
+			return nil
 		}
 	}
 	register("_mm_hadd_ps", haddPS(128))
@@ -326,32 +286,30 @@ func registerHaddFamily() {
 	register("_mm_hsub_pd", hsubPD(128))
 	register("_mm256_hsub_pd", hsubPD(256))
 
-	addsubPS := func(bits int) func(m *Machine, args []Value) (Value, error) {
-		return func(m *Machine, args []Value) (Value, error) {
-			a, b := argVec(args, 0), argVec(args, 1)
-			var out Vec
+	addsubPS := func(bits int) func(m *Machine, args []Value, out *Value) error {
+		return func(m *Machine, args []Value, out *Value) error {
+			a, b, v := &args[0].V, &args[1].V, vecOut(out)
 			for i := 0; i < bits/32; i++ {
 				if i%2 == 0 {
-					out.SetF32(i, a.F32(i)-b.F32(i))
+					v.SetF32(i, a.F32(i)-b.F32(i))
 				} else {
-					out.SetF32(i, a.F32(i)+b.F32(i))
+					v.SetF32(i, a.F32(i)+b.F32(i))
 				}
 			}
-			return vecResult(out)
+			return nil
 		}
 	}
-	addsubPD := func(bits int) func(m *Machine, args []Value) (Value, error) {
-		return func(m *Machine, args []Value) (Value, error) {
-			a, b := argVec(args, 0), argVec(args, 1)
-			var out Vec
+	addsubPD := func(bits int) func(m *Machine, args []Value, out *Value) error {
+		return func(m *Machine, args []Value, out *Value) error {
+			a, b, v := &args[0].V, &args[1].V, vecOut(out)
 			for i := 0; i < bits/64; i++ {
 				if i%2 == 0 {
-					out.SetF64(i, a.F64(i)-b.F64(i))
+					v.SetF64(i, a.F64(i)-b.F64(i))
 				} else {
-					out.SetF64(i, a.F64(i)+b.F64(i))
+					v.SetF64(i, a.F64(i)+b.F64(i))
 				}
 			}
-			return vecResult(out)
+			return nil
 		}
 	}
 	register("_mm_addsub_ps", addsubPS(128))
@@ -360,95 +318,82 @@ func registerHaddFamily() {
 	register("_mm256_addsub_pd", addsubPD(256))
 }
 
-// registerFMAFamily installs the 24 packed and 8 scalar FMA intrinsics
-// plus the AVX-512 fmadd. Go's math.FMA gives the exact fused semantics.
+// fma32/fma64 evaluate ±a·b ± c fused; math.FMA gives the exact fused
+// semantics. negAB negates a (hence the product), negC negates c.
+func fma32(a, b, c float32, negAB, negC bool) float32 {
+	if negAB {
+		a = -a
+	}
+	if negC {
+		c = -c
+	}
+	return float32(math.FMA(float64(a), float64(b), float64(c)))
+}
+
+func fma64(a, b, c float64, negAB, negC bool) float64 {
+	if negAB {
+		a = -a
+	}
+	if negC {
+		c = -c
+	}
+	return math.FMA(a, b, c)
+}
+
+// registerFMAFamily installs the 24 packed and 8 scalar FMA intrinsics,
+// the 8 alternating fmaddsub/fmsubadd forms and the AVX-512 fmadd. Every
+// variant is a sign pattern on a·b+c — the product's sign, and c's sign
+// on even and odd lanes — so one packed body per element type serves
+// them all, with the lane arithmetic inline.
 func registerFMAFamily() {
-	fma32 := func(a, b, c float32) float32 {
-		return float32(math.FMA(float64(a), float64(b), float64(c)))
-	}
 	type variant struct {
-		name string
-		f32  func(a, b, c float32) float32
-		f64  func(a, b, c float64) float64
+		name                   string
+		negAB, negEven, negOdd bool
 	}
-	variants := []variant{
-		{"fmadd", func(a, b, c float32) float32 { return fma32(a, b, c) },
-			func(a, b, c float64) float64 { return math.FMA(a, b, c) }},
-		{"fmsub", func(a, b, c float32) float32 { return fma32(a, b, -c) },
-			func(a, b, c float64) float64 { return math.FMA(a, b, -c) }},
-		{"fnmadd", func(a, b, c float32) float32 { return fma32(-a, b, c) },
-			func(a, b, c float64) float64 { return math.FMA(-a, b, c) }},
-		{"fnmsub", func(a, b, c float32) float32 { return fma32(-a, b, -c) },
-			func(a, b, c float64) float64 { return math.FMA(-a, b, -c) }},
-	}
-	for _, v := range variants {
+	for _, v := range []variant{
+		{"fmadd", false, false, false},
+		{"fmsub", false, true, true},
+		{"fnmadd", true, false, false},
+		{"fnmsub", true, true, true},
+		{"fmaddsub", false, true, false},
+		{"fmsubadd", false, false, true},
+	} {
 		v := v
 		for _, pfx := range []string{"_mm_", "_mm256_", "_mm512_"} {
 			if pfx == "_mm512_" && v.name != "fmadd" {
 				continue
 			}
 			bits := widthOf(pfx + "x")
-			register(pfx+v.name+"_ps", func(m *Machine, args []Value) (Value, error) {
-				a, b, c := argVec(args, 0), argVec(args, 1), argVec(args, 2)
-				var out Vec
-				for i := 0; i < bits/32; i++ {
-					out.SetF32(i, v.f32(a.F32(i), b.F32(i), c.F32(i)))
+			register(pfx+v.name+"_ps", func(m *Machine, args []Value, out *Value) error {
+				a, b, c, o := &args[0].V, &args[1].V, &args[2].V, vecOut(out)
+				for i := 0; i < bits/32; i += 2 {
+					o.SetF32(i, fma32(a.F32(i), b.F32(i), c.F32(i), v.negAB, v.negEven))
+					o.SetF32(i+1, fma32(a.F32(i+1), b.F32(i+1), c.F32(i+1), v.negAB, v.negOdd))
 				}
-				return vecResult(out)
+				return nil
 			})
-			register(pfx+v.name+"_pd", func(m *Machine, args []Value) (Value, error) {
-				a, b, c := argVec(args, 0), argVec(args, 1), argVec(args, 2)
-				var out Vec
-				for i := 0; i < bits/64; i++ {
-					out.SetF64(i, v.f64(a.F64(i), b.F64(i), c.F64(i)))
+			register(pfx+v.name+"_pd", func(m *Machine, args []Value, out *Value) error {
+				a, b, c, o := &args[0].V, &args[1].V, &args[2].V, vecOut(out)
+				for i := 0; i < bits/64; i += 2 {
+					o.SetF64(i, fma64(a.F64(i), b.F64(i), c.F64(i), v.negAB, v.negEven))
+					o.SetF64(i+1, fma64(a.F64(i+1), b.F64(i+1), c.F64(i+1), v.negAB, v.negOdd))
 				}
-				return vecResult(out)
-			})
-		}
-		register("_mm_"+v.name+"_ss", func(m *Machine, args []Value) (Value, error) {
-			out := argVec(args, 0)
-			out.SetF32(0, v.f32(args[0].V.F32(0), args[1].V.F32(0), args[2].V.F32(0)))
-			return vecResult(out)
-		})
-		register("_mm_"+v.name+"_sd", func(m *Machine, args []Value) (Value, error) {
-			out := argVec(args, 0)
-			out.SetF64(0, v.f64(args[0].V.F64(0), args[1].V.F64(0), args[2].V.F64(0)))
-			return vecResult(out)
-		})
-	}
-	// fmaddsub: odd lanes add, even lanes sub; fmsubadd: the reverse.
-	for _, pfx := range []string{"_mm_", "_mm256_"} {
-		bits := widthOf(pfx + "x")
-		for _, alt := range []struct {
-			name    string
-			evenSub bool
-		}{{"fmaddsub", true}, {"fmsubadd", false}} {
-			alt := alt
-			register(pfx+alt.name+"_ps", func(m *Machine, args []Value) (Value, error) {
-				a, b, c := argVec(args, 0), argVec(args, 1), argVec(args, 2)
-				var out Vec
-				for i := 0; i < bits/32; i++ {
-					ci := c.F32(i)
-					if (i%2 == 0) == alt.evenSub {
-						ci = -ci
-					}
-					out.SetF32(i, fma32(a.F32(i), b.F32(i), ci))
-				}
-				return vecResult(out)
-			})
-			register(pfx+alt.name+"_pd", func(m *Machine, args []Value) (Value, error) {
-				a, b, c := argVec(args, 0), argVec(args, 1), argVec(args, 2)
-				var out Vec
-				for i := 0; i < bits/64; i++ {
-					ci := c.F64(i)
-					if (i%2 == 0) == alt.evenSub {
-						ci = -ci
-					}
-					out.SetF64(i, math.FMA(a.F64(i), b.F64(i), ci))
-				}
-				return vecResult(out)
+				return nil
 			})
 		}
+		if v.negEven != v.negOdd {
+			continue // the alternating forms have no scalar variant
+		}
+		register("_mm_"+v.name+"_ss", func(m *Machine, args []Value, out *Value) error {
+			a, b, c := &args[0].V, &args[1].V, &args[2].V
+			vecCopy(out, a).SetF32(0, fma32(a.F32(0), b.F32(0), c.F32(0), v.negAB, v.negEven))
+			return nil
+		})
+		register("_mm_"+v.name+"_sd", func(m *Machine, args []Value, out *Value) error {
+			a, b, c := &args[0].V, &args[1].V, &args[2].V
+			vecCopy(out, a).SetF64(0, fma64(a.F64(0), b.F64(0), c.F64(0), v.negAB, v.negEven))
+			return nil
+		})
 	}
 }
 
@@ -467,157 +412,88 @@ func registerRounding() {
 	}
 	for _, pfx := range []string{"_mm_", "_mm256_"} {
 		bits := widthOf(pfx + "x")
-		register(pfx+"round_ps", func(m *Machine, args []Value) (Value, error) {
+		register(pfx+"round_ps", func(m *Machine, args []Value, out *Value) error {
 			f := roundMode(argInt(args, 1))
-			return vecResult(map1F32(bits, argVec(args, 0),
-				func(x float32) float32 { return float32(f(float64(x))) }))
+			map1F32(bits, args, out, func(x float32) float32 { return float32(f(float64(x))) })
+			return nil
 		})
-		register(pfx+"round_pd", func(m *Machine, args []Value) (Value, error) {
-			f := roundMode(argInt(args, 1))
-			return vecResult(map1F64(bits, argVec(args, 0), f))
+		register(pfx+"round_pd", func(m *Machine, args []Value, out *Value) error {
+			map1F64(bits, args, out, roundMode(argInt(args, 1)))
+			return nil
 		})
-		regUnF32(pfx+"floor_ps", func(x float32) float32 { return float32(math.Floor(float64(x))) })
-		regUnF64(pfx+"floor_pd", math.Floor)
-		regUnF32(pfx+"ceil_ps", func(x float32) float32 { return float32(math.Ceil(float64(x))) })
-		regUnF64(pfx+"ceil_pd", math.Ceil)
+		regLanes(pfx+"floor_ps", map1F32, func(x float32) float32 { return float32(math.Floor(float64(x))) })
+		regLanes(pfx+"floor_pd", map1F64, math.Floor)
+		regLanes(pfx+"ceil_ps", map1F32, func(x float32) float32 { return float32(math.Ceil(float64(x))) })
+		regLanes(pfx+"ceil_pd", map1F64, math.Ceil)
 	}
+}
+
+// regConvert registers a lane conversion: n result lanes, each written
+// by set from lane i of the first operand.
+func regConvert(name string, n int, set func(v, a *Vec, i int)) {
+	register(name, func(m *Machine, args []Value, out *Value) error {
+		a, v := &args[0].V, vecOut(out)
+		for i := 0; i < n; i++ {
+			set(v, a, i)
+		}
+		return nil
+	})
 }
 
 func registerFloatConversions() {
 	// int32 ↔ float32, packed.
 	for _, pfx := range []string{"_mm_", "_mm256_"} {
-		bits := widthOf(pfx + "x")
-		register(pfx+"cvtepi32_ps", func(m *Machine, args []Value) (Value, error) {
-			a := argVec(args, 0)
-			var out Vec
-			for i := 0; i < bits/32; i++ {
-				out.SetF32(i, float32(a.I32(i)))
-			}
-			return vecResult(out)
+		n := widthOf(pfx+"x") / 32
+		regConvert(pfx+"cvtepi32_ps", n, func(v, a *Vec, i int) { v.SetF32(i, float32(a.I32(i))) })
+		regConvert(pfx+"cvtps_epi32", n, func(v, a *Vec, i int) {
+			v.SetI32(i, int32(math.RoundToEven(float64(a.F32(i)))))
 		})
-		register(pfx+"cvtps_epi32", func(m *Machine, args []Value) (Value, error) {
-			a := argVec(args, 0)
-			var out Vec
-			for i := 0; i < bits/32; i++ {
-				out.SetI32(i, int32(math.RoundToEven(float64(a.F32(i)))))
-			}
-			return vecResult(out)
-		})
-		register(pfx+"cvttps_epi32", func(m *Machine, args []Value) (Value, error) {
-			a := argVec(args, 0)
-			var out Vec
-			for i := 0; i < bits/32; i++ {
-				out.SetI32(i, int32(a.F32(i)))
-			}
-			return vecResult(out)
-		})
+		regConvert(pfx+"cvttps_epi32", n, func(v, a *Vec, i int) { v.SetI32(i, int32(a.F32(i))) })
 	}
-	register("_mm_cvtepi32_pd", func(m *Machine, args []Value) (Value, error) {
-		a := argVec(args, 0)
-		var out Vec
-		for i := 0; i < 2; i++ {
-			out.SetF64(i, float64(a.I32(i)))
-		}
-		return vecResult(out)
-	})
+	regConvert("_mm_cvtepi32_pd", 2, func(v, a *Vec, i int) { v.SetF64(i, float64(a.I32(i))) })
 	// float32 ↔ float64.
-	register("_mm_cvtps_pd", func(m *Machine, args []Value) (Value, error) {
-		a := argVec(args, 0)
-		var out Vec
-		for i := 0; i < 2; i++ {
-			out.SetF64(i, float64(a.F32(i)))
-		}
-		return vecResult(out)
-	})
-	register("_mm_cvtpd_ps", func(m *Machine, args []Value) (Value, error) {
-		a := argVec(args, 0)
-		var out Vec
-		for i := 0; i < 2; i++ {
-			out.SetF32(i, float32(a.F64(i)))
-		}
-		return vecResult(out)
-	})
-	register("_mm256_cvtps_pd", func(m *Machine, args []Value) (Value, error) {
-		a := argVec(args, 0)
-		var out Vec
-		for i := 0; i < 4; i++ {
-			out.SetF64(i, float64(a.F32(i)))
-		}
-		return vecResult(out)
-	})
-	register("_mm256_cvtpd_ps", func(m *Machine, args []Value) (Value, error) {
-		a := argVec(args, 0)
-		var out Vec
-		for i := 0; i < 4; i++ {
-			out.SetF32(i, float32(a.F64(i)))
-		}
-		return vecResult(out)
-	})
+	psToPD := func(v, a *Vec, i int) { v.SetF64(i, float64(a.F32(i))) }
+	pdToPS := func(v, a *Vec, i int) { v.SetF32(i, float32(a.F64(i))) }
+	regConvert("_mm_cvtps_pd", 2, psToPD)
+	regConvert("_mm_cvtpd_ps", 2, pdToPS)
+	regConvert("_mm256_cvtps_pd", 4, psToPD)
+	regConvert("_mm256_cvtpd_ps", 4, pdToPS)
 	// Scalar extraction.
-	register("_mm_cvtss_f32", func(m *Machine, args []Value) (Value, error) {
-		return F32Value(args[0].V.F32(0)), nil
+	register("_mm_cvtss_f32", func(m *Machine, args []Value, out *Value) error {
+		return scalar(out, F32Value(args[0].V.F32(0)))
 	})
-	register("_mm_cvtsd_f64", func(m *Machine, args []Value) (Value, error) {
-		return F64Value(args[0].V.F64(0)), nil
+	register("_mm_cvtsd_f64", func(m *Machine, args []Value, out *Value) error {
+		return scalar(out, F64Value(args[0].V.F64(0)))
 	})
-	register("_mm_cvtsi128_si32", func(m *Machine, args []Value) (Value, error) {
-		return IntValue(int(args[0].V.I32(0))), nil
+	register("_mm_cvtsi128_si32", func(m *Machine, args []Value, out *Value) error {
+		return scalar(out, IntValue(int(args[0].V.I32(0))))
 	})
-	register("_mm_cvtsi128_si64", func(m *Machine, args []Value) (Value, error) {
-		return Value{Kind: ir.KindI64, I: args[0].V.I64(0)}, nil
+	register("_mm_cvtsi128_si64", func(m *Machine, args []Value, out *Value) error {
+		return scalar(out, Value{Kind: ir.KindI64, I: args[0].V.I64(0)})
 	})
-	register("_mm_cvtsi32_si128", func(m *Machine, args []Value) (Value, error) {
-		var out Vec
-		out.SetI32(0, int32(args[0].AsInt()))
-		return vecResult(out)
+	register("_mm_cvtsi32_si128", func(m *Machine, args []Value, out *Value) error {
+		vecOut(out).SetI32(0, int32(args[0].AsInt()))
+		return nil
 	})
-	register("_mm_cvtsi64_si128", func(m *Machine, args []Value) (Value, error) {
-		var out Vec
-		out.SetI64(0, args[0].AsInt())
-		return vecResult(out)
+	register("_mm_cvtsi64_si128", func(m *Machine, args []Value, out *Value) error {
+		vecOut(out).SetI64(0, args[0].AsInt())
+		return nil
 	})
-	register("_mm_cvtsi64_si32", func(m *Machine, args []Value) (Value, error) {
-		return IntValue(int(args[0].V.I32(0))), nil
+	register("_mm_cvtsi64_si32", func(m *Machine, args []Value, out *Value) error {
+		return scalar(out, IntValue(int(args[0].V.I32(0))))
 	})
-	register("_mm_cvtsi32_si64", func(m *Machine, args []Value) (Value, error) {
-		var out Vec
-		out.SetI32(0, int32(args[0].AsInt()))
-		return vecResult(out)
+	register("_mm_cvtsi32_si64", func(m *Machine, args []Value, out *Value) error {
+		vecOut(out).SetI32(0, int32(args[0].AsInt()))
+		return nil
 	})
 
 	// FP16C: half-precision packed conversion.
-	register("_mm_cvtph_ps", func(m *Machine, args []Value) (Value, error) {
-		a := argVec(args, 0)
-		var out Vec
-		for i := 0; i < 4; i++ {
-			out.SetF32(i, F32FromF16(a.U16(i)))
-		}
-		return vecResult(out)
-	})
-	register("_mm256_cvtph_ps", func(m *Machine, args []Value) (Value, error) {
-		a := argVec(args, 0)
-		var out Vec
-		for i := 0; i < 8; i++ {
-			out.SetF32(i, F32FromF16(a.U16(i)))
-		}
-		return vecResult(out)
-	})
-	register("_mm_cvtps_ph", func(m *Machine, args []Value) (Value, error) {
-		a := argVec(args, 0)
-		var out Vec
-		for i := 0; i < 4; i++ {
-			out.SetU16(i, F16FromF32(a.F32(i)))
-		}
-		return vecResult(out)
-	})
-	register("_mm256_cvtps_ph", func(m *Machine, args []Value) (Value, error) {
-		a := argVec(args, 0)
-		var out Vec
-		for i := 0; i < 8; i++ {
-			out.SetU16(i, F16FromF32(a.F32(i)))
-		}
-		return vecResult(out)
-	})
+	phToPS := func(v, a *Vec, i int) { v.SetF32(i, F32FromF16(a.U16(i))) }
+	psToPH := func(v, a *Vec, i int) { v.SetU16(i, F16FromF32(a.F32(i))) }
+	regConvert("_mm_cvtph_ps", 4, phToPS)
+	regConvert("_mm256_cvtph_ps", 8, phToPS)
+	regConvert("_mm_cvtps_ph", 4, psToPH)
+	regConvert("_mm256_cvtps_ph", 8, psToPH)
 
 	// Casts are free reinterpretations.
 	for _, name := range []string{
@@ -626,18 +502,17 @@ func registerFloatConversions() {
 		"_mm256_castsi256_ps", "_mm256_castps256_ps128", "_mm256_castpd256_pd128",
 		"_mm256_castsi256_si128",
 	} {
-		register(name, func(m *Machine, args []Value) (Value, error) {
-			return vecResult(argVec(args, 0))
+		register(name, func(m *Machine, args []Value, out *Value) error {
+			vecCopy(out, &args[0].V)
+			return nil
 		})
 	}
 	// Widening casts zero the upper half (the Intel docs say undefined;
 	// zeroing is the common hardware behaviour).
 	for _, name := range []string{"_mm256_castps128_ps256", "_mm256_castpd128_pd256", "_mm256_castsi128_si256"} {
-		register(name, func(m *Machine, args []Value) (Value, error) {
-			a := argVec(args, 0)
-			var out Vec
-			copy(out.b[:16], a.b[:16])
-			return vecResult(out)
+		register(name, func(m *Machine, args []Value, out *Value) error {
+			copy(vecOut(out).b[:16], args[0].V.b[:16])
+			return nil
 		})
 	}
 }
@@ -648,48 +523,31 @@ func registerSVML() {
 	}
 	cdfnorm := func(x float64) float64 { return 0.5 * math.Erfc(-x/math.Sqrt2) }
 	pow2o3 := func(x float64) float64 { return math.Cbrt(x * x) }
+	invsqrt := func(x float64) float64 { return 1 / math.Sqrt(x) }
 	for _, pfx := range []string{"_mm_", "_mm256_"} {
-		regUnF32(pfx+"sin_ps", un32(math.Sin))
-		regUnF64(pfx+"sin_pd", math.Sin)
-		regUnF32(pfx+"cos_ps", un32(math.Cos))
-		regUnF64(pfx+"cos_pd", math.Cos)
-		regUnF32(pfx+"exp_ps", un32(math.Exp))
-		regUnF64(pfx+"exp_pd", math.Exp)
-		regUnF32(pfx+"log_ps", un32(math.Log))
-		regUnF64(pfx+"log_pd", math.Log)
-		regUnF32(pfx+"pow2o3_ps", un32(pow2o3))
-		regUnF64(pfx+"pow2o3_pd", pow2o3)
-		regUnF32(pfx+"cdfnorm_ps", un32(cdfnorm))
-		regUnF64(pfx+"cdfnorm_pd", cdfnorm)
-		regUnF32(pfx+"svml_sqrt_ps", un32(math.Sqrt))
-		regUnF64(pfx+"svml_sqrt_pd", math.Sqrt)
-		regUnF32(pfx+"invsqrt_ps", un32(func(x float64) float64 { return 1 / math.Sqrt(x) }))
-		regUnF64(pfx+"invsqrt_pd", func(x float64) float64 { return 1 / math.Sqrt(x) })
-	}
-	divEpi32 := func(bits int) func(m *Machine, args []Value) (Value, error) {
-		return func(m *Machine, args []Value) (Value, error) {
-			return vecResult(mapI32(bits, argVec(args, 0), argVec(args, 1),
-				func(x, y int32) int32 {
-					if y == 0 {
-						return 0
-					}
-					return x / y
-				}))
+		for _, fn := range []struct {
+			name string
+			f    func(float64) float64
+		}{
+			{"sin", math.Sin}, {"cos", math.Cos}, {"exp", math.Exp}, {"log", math.Log},
+			{"pow2o3", pow2o3}, {"cdfnorm", cdfnorm}, {"svml_sqrt", math.Sqrt},
+			{"invsqrt", invsqrt},
+		} {
+			regLanes(pfx+fn.name+"_ps", map1F32, un32(fn.f))
+			regLanes(pfx+fn.name+"_pd", map1F64, fn.f)
 		}
+		// Integer division by zero yields 0 rather than trapping.
+		regLanes(pfx+"div_epi32", mapI32, func(x, y int32) int32 {
+			if y == 0 {
+				return 0
+			}
+			return x / y
+		})
+		regLanes(pfx+"rem_epi32", mapI32, func(x, y int32) int32 {
+			if y == 0 {
+				return 0
+			}
+			return x % y
+		})
 	}
-	remEpi32 := func(bits int) func(m *Machine, args []Value) (Value, error) {
-		return func(m *Machine, args []Value) (Value, error) {
-			return vecResult(mapI32(bits, argVec(args, 0), argVec(args, 1),
-				func(x, y int32) int32 {
-					if y == 0 {
-						return 0
-					}
-					return x % y
-				}))
-		}
-	}
-	register("_mm_div_epi32", divEpi32(128))
-	register("_mm256_div_epi32", divEpi32(256))
-	register("_mm_rem_epi32", remEpi32(128))
-	register("_mm256_rem_epi32", remEpi32(256))
 }

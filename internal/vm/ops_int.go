@@ -4,62 +4,13 @@ package vm
 // including the madd/maddubs/sign/abs chain the low-precision dot
 // products build on (Section 4.1 of the paper).
 
-func regBinI8(name string, f func(x, y int8) int8) {
-	bits := widthOf(name)
-	register(name, func(m *Machine, args []Value) (Value, error) {
-		return vecResult(mapI8(bits, argVec(args, 0), argVec(args, 1), f))
-	})
-}
-
-func regBinU8(name string, f func(x, y uint8) uint8) {
-	bits := widthOf(name)
-	register(name, func(m *Machine, args []Value) (Value, error) {
-		return vecResult(mapU8(bits, argVec(args, 0), argVec(args, 1), f))
-	})
-}
-
-func regBinI16(name string, f func(x, y int16) int16) {
-	bits := widthOf(name)
-	register(name, func(m *Machine, args []Value) (Value, error) {
-		return vecResult(mapI16(bits, argVec(args, 0), argVec(args, 1), f))
-	})
-}
-
-func regBinU16(name string, f func(x, y uint16) uint16) {
-	bits := widthOf(name)
-	register(name, func(m *Machine, args []Value) (Value, error) {
-		return vecResult(mapU16(bits, argVec(args, 0), argVec(args, 1), f))
-	})
-}
-
-func regBinI32(name string, f func(x, y int32) int32) {
-	bits := widthOf(name)
-	register(name, func(m *Machine, args []Value) (Value, error) {
-		return vecResult(mapI32(bits, argVec(args, 0), argVec(args, 1), f))
-	})
-}
-
-func regBinU32(name string, f func(x, y uint32) uint32) {
-	bits := widthOf(name)
-	register(name, func(m *Machine, args []Value) (Value, error) {
-		return vecResult(mapU32(bits, argVec(args, 0), argVec(args, 1), f))
-	})
-}
-
-func regBinI64(name string, f func(x, y int64) int64) {
-	bits := widthOf(name)
-	register(name, func(m *Machine, args []Value) (Value, error) {
-		return vecResult(mapI64(bits, argVec(args, 0), argVec(args, 1), f))
-	})
-}
-
 // regShiftImm registers a shift-by-immediate on `lanes`-bit elements.
 func regShiftImm(name string, elemBits int, f func(x int64, sh uint) int64) {
 	bits := widthOf(name)
-	register(name, func(m *Machine, args []Value) (Value, error) {
+	register(name, func(m *Machine, args []Value, out *Value) error {
 		sh := uint(argInt(args, 1))
-		a := argVec(args, 0)
-		var out Vec
+		a := &args[0].V
+		v := vecOut(out)
 		n := bits / elemBits
 		for i := 0; i < n; i++ {
 			var x int64
@@ -74,14 +25,14 @@ func regShiftImm(name string, elemBits int, f func(x int64, sh uint) int64) {
 			r := f(x, sh)
 			switch elemBits {
 			case 16:
-				out.SetI16(i, int16(r))
+				v.SetI16(i, int16(r))
 			case 32:
-				out.SetI32(i, int32(r))
+				v.SetI32(i, int32(r))
 			default:
-				out.SetI64(i, r)
+				v.SetI64(i, r)
 			}
 		}
-		return vecResult(out)
+		return nil
 	})
 }
 
@@ -114,116 +65,116 @@ func init() {
 	// ---- add/sub at every element width, 64/128/256 bits ----------------
 	for _, pfx := range []string{"_mm_", "_mm256_", "_mm512_"} {
 		if pfx == "_mm512_" {
-			regBinI32(pfx+"add_epi32", func(x, y int32) int32 { return x + y })
-			regBinI32(pfx+"sub_epi32", func(x, y int32) int32 { return x - y })
+			regLanes(pfx+"add_epi32", mapI32, func(x, y int32) int32 { return x + y })
+			regLanes(pfx+"sub_epi32", mapI32, func(x, y int32) int32 { return x - y })
 			continue
 		}
-		regBinI8(pfx+"add_epi8", func(x, y int8) int8 { return x + y })
-		regBinI8(pfx+"sub_epi8", func(x, y int8) int8 { return x - y })
-		regBinI16(pfx+"add_epi16", func(x, y int16) int16 { return x + y })
-		regBinI16(pfx+"sub_epi16", func(x, y int16) int16 { return x - y })
-		regBinI32(pfx+"add_epi32", func(x, y int32) int32 { return x + y })
-		regBinI32(pfx+"sub_epi32", func(x, y int32) int32 { return x - y })
-		regBinI64(pfx+"add_epi64", func(x, y int64) int64 { return x + y })
-		regBinI64(pfx+"sub_epi64", func(x, y int64) int64 { return x - y })
+		regLanes(pfx+"add_epi8", mapI8, func(x, y int8) int8 { return x + y })
+		regLanes(pfx+"sub_epi8", mapI8, func(x, y int8) int8 { return x - y })
+		regLanes(pfx+"add_epi16", mapI16, func(x, y int16) int16 { return x + y })
+		regLanes(pfx+"sub_epi16", mapI16, func(x, y int16) int16 { return x - y })
+		regLanes(pfx+"add_epi32", mapI32, func(x, y int32) int32 { return x + y })
+		regLanes(pfx+"sub_epi32", mapI32, func(x, y int32) int32 { return x - y })
+		regLanes(pfx+"add_epi64", mapI64, func(x, y int64) int64 { return x + y })
+		regLanes(pfx+"sub_epi64", mapI64, func(x, y int64) int64 { return x - y })
 
 		// Saturating arithmetic.
-		regBinI8(pfx+"adds_epi8", func(x, y int8) int8 { return satI8(int(x) + int(y)) })
-		regBinI8(pfx+"subs_epi8", func(x, y int8) int8 { return satI8(int(x) - int(y)) })
-		regBinI16(pfx+"adds_epi16", func(x, y int16) int16 { return satI16(int(x) + int(y)) })
-		regBinI16(pfx+"subs_epi16", func(x, y int16) int16 { return satI16(int(x) - int(y)) })
-		regBinU8(pfx+"adds_epu8", func(x, y uint8) uint8 { return satU8(int(x) + int(y)) })
-		regBinU8(pfx+"subs_epu8", func(x, y uint8) uint8 { return satU8(int(x) - int(y)) })
-		regBinU16(pfx+"adds_epu16", func(x, y uint16) uint16 { return satU16(int(x) + int(y)) })
-		regBinU16(pfx+"subs_epu16", func(x, y uint16) uint16 { return satU16(int(x) - int(y)) })
+		regLanes(pfx+"adds_epi8", mapI8, func(x, y int8) int8 { return satI8(int(x) + int(y)) })
+		regLanes(pfx+"subs_epi8", mapI8, func(x, y int8) int8 { return satI8(int(x) - int(y)) })
+		regLanes(pfx+"adds_epi16", mapI16, func(x, y int16) int16 { return satI16(int(x) + int(y)) })
+		regLanes(pfx+"subs_epi16", mapI16, func(x, y int16) int16 { return satI16(int(x) - int(y)) })
+		regLanes(pfx+"adds_epu8", mapU8, func(x, y uint8) uint8 { return satU8(int(x) + int(y)) })
+		regLanes(pfx+"subs_epu8", mapU8, func(x, y uint8) uint8 { return satU8(int(x) - int(y)) })
+		regLanes(pfx+"adds_epu16", mapU16, func(x, y uint16) uint16 { return satU16(int(x) + int(y)) })
+		regLanes(pfx+"subs_epu16", mapU16, func(x, y uint16) uint16 { return satU16(int(x) - int(y)) })
 
 		// Comparisons.
-		regBinI8(pfx+"cmpeq_epi8", func(x, y int8) int8 { return maskI8(x == y) })
-		regBinI8(pfx+"cmpgt_epi8", func(x, y int8) int8 { return maskI8(x > y) })
-		regBinI16(pfx+"cmpeq_epi16", func(x, y int16) int16 { return maskI16(x == y) })
-		regBinI16(pfx+"cmpgt_epi16", func(x, y int16) int16 { return maskI16(x > y) })
-		regBinI32(pfx+"cmpeq_epi32", func(x, y int32) int32 { return maskI32(x == y) })
-		regBinI32(pfx+"cmpgt_epi32", func(x, y int32) int32 { return maskI32(x > y) })
-		regBinI64(pfx+"cmpeq_epi64", func(x, y int64) int64 { return maskI64(x == y) })
-		regBinI64(pfx+"cmpgt_epi64", func(x, y int64) int64 { return maskI64(x > y) })
+		regLanes(pfx+"cmpeq_epi8", mapI8, func(x, y int8) int8 { return maskI8(x == y) })
+		regLanes(pfx+"cmpgt_epi8", mapI8, func(x, y int8) int8 { return maskI8(x > y) })
+		regLanes(pfx+"cmpeq_epi16", mapI16, func(x, y int16) int16 { return maskI16(x == y) })
+		regLanes(pfx+"cmpgt_epi16", mapI16, func(x, y int16) int16 { return maskI16(x > y) })
+		regLanes(pfx+"cmpeq_epi32", mapI32, func(x, y int32) int32 { return maskI32(x == y) })
+		regLanes(pfx+"cmpgt_epi32", mapI32, func(x, y int32) int32 { return maskI32(x > y) })
+		regLanes(pfx+"cmpeq_epi64", mapI64, func(x, y int64) int64 { return maskI64(x == y) })
+		regLanes(pfx+"cmpgt_epi64", mapI64, func(x, y int64) int64 { return maskI64(x > y) })
 
 		// Multiplies.
-		regBinI16(pfx+"mullo_epi16", func(x, y int16) int16 { return int16(int32(x) * int32(y)) })
-		regBinI16(pfx+"mulhi_epi16", func(x, y int16) int16 { return int16(int32(x) * int32(y) >> 16) })
-		regBinU16(pfx+"mulhi_epu16", func(x, y uint16) uint16 { return uint16(uint32(x) * uint32(y) >> 16) })
-		regBinI32(pfx+"mullo_epi32", func(x, y int32) int32 { return int32(int64(x) * int64(y)) })
-		regBinI16(pfx+"mulhrs_epi16", func(x, y int16) int16 {
+		regLanes(pfx+"mullo_epi16", mapI16, func(x, y int16) int16 { return int16(int32(x) * int32(y)) })
+		regLanes(pfx+"mulhi_epi16", mapI16, func(x, y int16) int16 { return int16(int32(x) * int32(y) >> 16) })
+		regLanes(pfx+"mulhi_epu16", mapU16, func(x, y uint16) uint16 { return uint16(uint32(x) * uint32(y) >> 16) })
+		regLanes(pfx+"mullo_epi32", mapI32, func(x, y int32) int32 { return int32(int64(x) * int64(y)) })
+		regLanes(pfx+"mulhrs_epi16", mapI16, func(x, y int16) int16 {
 			return int16((int32(x)*int32(y)>>14 + 1) >> 1)
 		})
 
 		// Min/max.
-		regBinI8(pfx+"max_epi8", func(x, y int8) int8 {
+		regLanes(pfx+"max_epi8", mapI8, func(x, y int8) int8 {
 			if x > y {
 				return x
 			}
 			return y
 		})
-		regBinI8(pfx+"min_epi8", func(x, y int8) int8 {
+		regLanes(pfx+"min_epi8", mapI8, func(x, y int8) int8 {
 			if x < y {
 				return x
 			}
 			return y
 		})
-		regBinU8(pfx+"max_epu8", func(x, y uint8) uint8 {
+		regLanes(pfx+"max_epu8", mapU8, func(x, y uint8) uint8 {
 			if x > y {
 				return x
 			}
 			return y
 		})
-		regBinU8(pfx+"min_epu8", func(x, y uint8) uint8 {
+		regLanes(pfx+"min_epu8", mapU8, func(x, y uint8) uint8 {
 			if x < y {
 				return x
 			}
 			return y
 		})
-		regBinI16(pfx+"max_epi16", func(x, y int16) int16 {
+		regLanes(pfx+"max_epi16", mapI16, func(x, y int16) int16 {
 			if x > y {
 				return x
 			}
 			return y
 		})
-		regBinI16(pfx+"min_epi16", func(x, y int16) int16 {
+		regLanes(pfx+"min_epi16", mapI16, func(x, y int16) int16 {
 			if x < y {
 				return x
 			}
 			return y
 		})
-		regBinU16(pfx+"max_epu16", func(x, y uint16) uint16 {
+		regLanes(pfx+"max_epu16", mapU16, func(x, y uint16) uint16 {
 			if x > y {
 				return x
 			}
 			return y
 		})
-		regBinU16(pfx+"min_epu16", func(x, y uint16) uint16 {
+		regLanes(pfx+"min_epu16", mapU16, func(x, y uint16) uint16 {
 			if x < y {
 				return x
 			}
 			return y
 		})
-		regBinI32(pfx+"max_epi32", func(x, y int32) int32 {
+		regLanes(pfx+"max_epi32", mapI32, func(x, y int32) int32 {
 			if x > y {
 				return x
 			}
 			return y
 		})
-		regBinI32(pfx+"min_epi32", func(x, y int32) int32 {
+		regLanes(pfx+"min_epi32", mapI32, func(x, y int32) int32 {
 			if x < y {
 				return x
 			}
 			return y
 		})
-		regBinU32(pfx+"max_epu32", func(x, y uint32) uint32 {
+		regLanes(pfx+"max_epu32", mapU32, func(x, y uint32) uint32 {
 			if x > y {
 				return x
 			}
 			return y
 		})
-		regBinU32(pfx+"min_epu32", func(x, y uint32) uint32 {
+		regLanes(pfx+"min_epu32", mapU32, func(x, y uint32) uint32 {
 			if x < y {
 				return x
 			}
@@ -231,8 +182,8 @@ func init() {
 		})
 
 		// Averages (rounded).
-		regBinU8(pfx+"avg_epu8", func(x, y uint8) uint8 { return uint8((int(x) + int(y) + 1) >> 1) })
-		regBinU16(pfx+"avg_epu16", func(x, y uint16) uint16 { return uint16((int(x) + int(y) + 1) >> 1) })
+		regLanes(pfx+"avg_epu8", mapU8, func(x, y uint8) uint8 { return uint8((int(x) + int(y) + 1) >> 1) })
+		regLanes(pfx+"avg_epu16", mapU16, func(x, y uint16) uint16 { return uint16((int(x) + int(y) + 1) >> 1) })
 
 		// Shifts by immediate.
 		regShiftImm(pfx+"slli_epi16", 16, func(x int64, sh uint) int64 {
@@ -291,29 +242,29 @@ func init() {
 		register(pfx+"sad_epu8", sadEpu8(bits))
 
 		// SSSE3/AVX2 sign and abs.
-		regBinI8(pfx+"sign_epi8", signOp8)
-		regBinI16(pfx+"sign_epi16", signOp16)
-		regBinI32(pfx+"sign_epi32", signOp32)
+		regLanes(pfx+"sign_epi8", mapI8, signOp8)
+		regLanes(pfx+"sign_epi16", mapI16, signOp16)
+		regLanes(pfx+"sign_epi32", mapI32, signOp32)
 		register(pfx+"abs_epi8", absOp(bits, 8))
 		register(pfx+"abs_epi16", absOp(bits, 16))
 		register(pfx+"abs_epi32", absOp(bits, 32))
 
 		// mul_epi32 / mul_epu32: even 32-bit lanes to 64-bit products.
-		register(pfx+"mul_epi32", func(m *Machine, args []Value) (Value, error) {
-			a, b := argVec(args, 0), argVec(args, 1)
-			var out Vec
+		register(pfx+"mul_epi32", func(m *Machine, args []Value, out *Value) error {
+			a, b := &args[0].V, &args[1].V
+			v := vecOut(out)
 			for i := 0; i < bits/64; i++ {
-				out.SetI64(i, int64(a.I32(2*i))*int64(b.I32(2*i)))
+				v.SetI64(i, int64(a.I32(2*i))*int64(b.I32(2*i)))
 			}
-			return vecResult(out)
+			return nil
 		})
-		register(pfx+"mul_epu32", func(m *Machine, args []Value) (Value, error) {
-			a, b := argVec(args, 0), argVec(args, 1)
-			var out Vec
+		register(pfx+"mul_epu32", func(m *Machine, args []Value, out *Value) error {
+			a, b := &args[0].V, &args[1].V
+			v := vecOut(out)
 			for i := 0; i < bits/64; i++ {
-				out.SetU64(i, uint64(a.U32(2*i))*uint64(b.U32(2*i)))
+				v.SetU64(i, uint64(a.U32(2*i))*uint64(b.U32(2*i)))
 			}
-			return vecResult(out)
+			return nil
 		})
 
 		// Horizontal integer add/sub (within 128-bit lanes).
@@ -322,53 +273,53 @@ func init() {
 		register(pfx+"hadd_epi32", hAddI32(bits, false))
 		register(pfx+"hsub_epi32", hAddI32(bits, true))
 	}
-	register("_mm_hadds_epi16", func(m *Machine, args []Value) (Value, error) {
-		a, b := argVec(args, 0), argVec(args, 1)
-		var out Vec
+	register("_mm_hadds_epi16", func(m *Machine, args []Value, out *Value) error {
+		a, b := &args[0].V, &args[1].V
+		v := vecOut(out)
 		for i := 0; i < 4; i++ {
-			out.SetI16(i, satI16(int(a.I16(2*i))+int(a.I16(2*i+1))))
-			out.SetI16(i+4, satI16(int(b.I16(2*i))+int(b.I16(2*i+1))))
+			v.SetI16(i, satI16(int(a.I16(2*i))+int(a.I16(2*i+1))))
+			v.SetI16(i+4, satI16(int(b.I16(2*i))+int(b.I16(2*i+1))))
 		}
-		return vecResult(out)
+		return nil
 	})
 
 	// ---- logical on integer registers -------------------------------------
-	regBitwise("_mm_and_si128", bAnd)
-	regBitwise("_mm_or_si128", bOr)
-	regBitwise("_mm_xor_si128", bXor)
-	regBitwise("_mm_andnot_si128", bAndNot)
-	regBitwise("_mm256_and_si256", bAnd)
-	regBitwise("_mm256_or_si256", bOr)
-	regBitwise("_mm256_xor_si256", bXor)
-	regBitwise("_mm256_andnot_si256", bAndNot)
-	regBitwise("_mm512_and_si512", bAnd)
-	regBitwise("_mm512_or_si512", bOr)
-	regBitwise("_mm_and_si64", bAnd)
-	regBitwise("_mm_or_si64", bOr)
-	regBitwise("_mm_xor_si64", bXor)
-	regBitwise("_mm_andnot_si64", bAndNot)
+	regLanes("_mm_and_si128", bitwise, bAnd)
+	regLanes("_mm_or_si128", bitwise, bOr)
+	regLanes("_mm_xor_si128", bitwise, bXor)
+	regLanes("_mm_andnot_si128", bitwise, bAndNot)
+	regLanes("_mm256_and_si256", bitwise, bAnd)
+	regLanes("_mm256_or_si256", bitwise, bOr)
+	regLanes("_mm256_xor_si256", bitwise, bXor)
+	regLanes("_mm256_andnot_si256", bitwise, bAndNot)
+	regLanes("_mm512_and_si512", bitwise, bAnd)
+	regLanes("_mm512_or_si512", bitwise, bOr)
+	regLanes("_mm_and_si64", bitwise, bAnd)
+	regLanes("_mm_or_si64", bitwise, bOr)
+	regLanes("_mm_xor_si64", bitwise, bXor)
+	regLanes("_mm_andnot_si64", bitwise, bAndNot)
 
 	// ---- MMX subset ---------------------------------------------------------
-	regBinI8("_mm_add_pi8", func(x, y int8) int8 { return x + y })
-	regBinI8("_mm_sub_pi8", func(x, y int8) int8 { return x - y })
-	regBinI16("_mm_add_pi16", func(x, y int16) int16 { return x + y })
-	regBinI16("_mm_sub_pi16", func(x, y int16) int16 { return x - y })
-	regBinI32("_mm_add_pi32", func(x, y int32) int32 { return x + y })
-	regBinI32("_mm_sub_pi32", func(x, y int32) int32 { return x - y })
-	regBinI8("_mm_cmpeq_pi8", func(x, y int8) int8 { return maskI8(x == y) })
-	regBinI8("_mm_cmpgt_pi8", func(x, y int8) int8 { return maskI8(x > y) })
-	regBinI16("_mm_cmpeq_pi16", func(x, y int16) int16 { return maskI16(x == y) })
-	regBinI16("_mm_cmpgt_pi16", func(x, y int16) int16 { return maskI16(x > y) })
-	regBinI32("_mm_cmpeq_pi32", func(x, y int32) int32 { return maskI32(x == y) })
-	regBinI32("_mm_cmpgt_pi32", func(x, y int32) int32 { return maskI32(x > y) })
-	regBinI16("_mm_mullo_pi16", func(x, y int16) int16 { return int16(int32(x) * int32(y)) })
-	regBinU8("_mm_avg_pu8", func(x, y uint8) uint8 { return uint8((int(x) + int(y) + 1) >> 1) })
-	regBinU16("_mm_avg_pu16", func(x, y uint16) uint16 { return uint16((int(x) + int(y) + 1) >> 1) })
-	regBinI8("_mm_cmplt_epi8", func(x, y int8) int8 { return maskI8(x < y) })
-	regBinI16("_mm_cmplt_epi16", func(x, y int16) int16 { return maskI16(x < y) })
-	regBinI32("_mm_cmplt_epi32", func(x, y int32) int32 { return maskI32(x < y) })
+	regLanes("_mm_add_pi8", mapI8, func(x, y int8) int8 { return x + y })
+	regLanes("_mm_sub_pi8", mapI8, func(x, y int8) int8 { return x - y })
+	regLanes("_mm_add_pi16", mapI16, func(x, y int16) int16 { return x + y })
+	regLanes("_mm_sub_pi16", mapI16, func(x, y int16) int16 { return x - y })
+	regLanes("_mm_add_pi32", mapI32, func(x, y int32) int32 { return x + y })
+	regLanes("_mm_sub_pi32", mapI32, func(x, y int32) int32 { return x - y })
+	regLanes("_mm_cmpeq_pi8", mapI8, func(x, y int8) int8 { return maskI8(x == y) })
+	regLanes("_mm_cmpgt_pi8", mapI8, func(x, y int8) int8 { return maskI8(x > y) })
+	regLanes("_mm_cmpeq_pi16", mapI16, func(x, y int16) int16 { return maskI16(x == y) })
+	regLanes("_mm_cmpgt_pi16", mapI16, func(x, y int16) int16 { return maskI16(x > y) })
+	regLanes("_mm_cmpeq_pi32", mapI32, func(x, y int32) int32 { return maskI32(x == y) })
+	regLanes("_mm_cmpgt_pi32", mapI32, func(x, y int32) int32 { return maskI32(x > y) })
+	regLanes("_mm_mullo_pi16", mapI16, func(x, y int16) int16 { return int16(int32(x) * int32(y)) })
+	regLanes("_mm_avg_pu8", mapU8, func(x, y uint8) uint8 { return uint8((int(x) + int(y) + 1) >> 1) })
+	regLanes("_mm_avg_pu16", mapU16, func(x, y uint16) uint16 { return uint16((int(x) + int(y) + 1) >> 1) })
+	regLanes("_mm_cmplt_epi8", mapI8, func(x, y int8) int8 { return maskI8(x < y) })
+	regLanes("_mm_cmplt_epi16", mapI16, func(x, y int16) int16 { return maskI16(x < y) })
+	regLanes("_mm_cmplt_epi32", mapI32, func(x, y int32) int32 { return maskI32(x < y) })
 	register("_mm_madd_pi16", maddEpi16(64))
-	register("_mm_empty", func(m *Machine, args []Value) (Value, error) { return voidResult() })
+	register("_mm_empty", func(m *Machine, args []Value, out *Value) error { return nil })
 
 	// SSE2/AVX2 movemask.
 	register("_mm_movemask_epi8", movemask8(128))
@@ -379,27 +330,27 @@ func init() {
 	register("_mm256_movemask_pd", movemaskF64(256))
 
 	// testz: ZF = ((a & b) == 0).
-	testz := func(bits int) func(m *Machine, args []Value) (Value, error) {
-		return func(m *Machine, args []Value) (Value, error) {
-			a, b := argVec(args, 0), argVec(args, 1)
+	testz := func(bits int) func(m *Machine, args []Value, out *Value) error {
+		return func(m *Machine, args []Value, out *Value) error {
+			a, b := &args[0].V, &args[1].V
 			for i := 0; i < bits/8; i++ {
 				if a.b[i]&b.b[i] != 0 {
-					return IntValue(0), nil
+					return scalar(out, IntValue(0))
 				}
 			}
-			return IntValue(1), nil
+			return scalar(out, IntValue(1))
 		}
 	}
 	register("_mm_testz_si128", testz(128))
 	register("_mm256_testz_si256", testz(256))
-	register("_mm_testc_si128", func(m *Machine, args []Value) (Value, error) {
-		a, b := argVec(args, 0), argVec(args, 1)
+	register("_mm_testc_si128", func(m *Machine, args []Value, out *Value) error {
+		a, b := &args[0].V, &args[1].V
 		for i := 0; i < 16; i++ {
 			if ^a.b[i]&b.b[i] != 0 {
-				return IntValue(0), nil
+				return scalar(out, IntValue(0))
 			}
 		}
-		return IntValue(1), nil
+		return scalar(out, IntValue(1))
 	})
 
 	// Widening integer conversions (SSE4.1 / AVX2).
@@ -407,38 +358,38 @@ func init() {
 	registerPacks()
 }
 
-func maddEpi16(bits int) func(m *Machine, args []Value) (Value, error) {
-	return func(m *Machine, args []Value) (Value, error) {
-		a, b := argVec(args, 0), argVec(args, 1)
-		var out Vec
+func maddEpi16(bits int) func(m *Machine, args []Value, out *Value) error {
+	return func(m *Machine, args []Value, out *Value) error {
+		a, b := &args[0].V, &args[1].V
+		v := vecOut(out)
 		for i := 0; i < bits/32; i++ {
 			p0 := int32(a.I16(2*i)) * int32(b.I16(2*i))
 			p1 := int32(a.I16(2*i+1)) * int32(b.I16(2*i+1))
-			out.SetI32(i, p0+p1)
+			v.SetI32(i, p0+p1)
 		}
-		return vecResult(out)
+		return nil
 	}
 }
 
 // maddubsEpi16: unsigned a × signed b pairs, saturated 16-bit sums —
 // the core of the 8-bit quantized dot product.
-func maddubsEpi16(bits int) func(m *Machine, args []Value) (Value, error) {
-	return func(m *Machine, args []Value) (Value, error) {
-		a, b := argVec(args, 0), argVec(args, 1)
-		var out Vec
+func maddubsEpi16(bits int) func(m *Machine, args []Value, out *Value) error {
+	return func(m *Machine, args []Value, out *Value) error {
+		a, b := &args[0].V, &args[1].V
+		v := vecOut(out)
 		for i := 0; i < bits/16; i++ {
 			p0 := int(a.U8(2*i)) * int(b.I8(2*i))
 			p1 := int(a.U8(2*i+1)) * int(b.I8(2*i+1))
-			out.SetI16(i, satI16(p0+p1))
+			v.SetI16(i, satI16(p0+p1))
 		}
-		return vecResult(out)
+		return nil
 	}
 }
 
-func sadEpu8(bits int) func(m *Machine, args []Value) (Value, error) {
-	return func(m *Machine, args []Value) (Value, error) {
-		a, b := argVec(args, 0), argVec(args, 1)
-		var out Vec
+func sadEpu8(bits int) func(m *Machine, args []Value, out *Value) error {
+	return func(m *Machine, args []Value, out *Value) error {
+		a, b := &args[0].V, &args[1].V
+		v := vecOut(out)
 		for g := 0; g < bits/64; g++ {
 			sum := 0
 			for i := 0; i < 8; i++ {
@@ -448,9 +399,9 @@ func sadEpu8(bits int) func(m *Machine, args []Value) (Value, error) {
 				}
 				sum += d
 			}
-			out.SetU64(g, uint64(sum))
+			v.SetU64(g, uint64(sum))
 		}
-		return vecResult(out)
+		return nil
 	}
 }
 
@@ -485,10 +436,10 @@ func signOp32(x, y int32) int32 {
 	}
 }
 
-func absOp(bits, elem int) func(m *Machine, args []Value) (Value, error) {
-	return func(m *Machine, args []Value) (Value, error) {
-		a := argVec(args, 0)
-		var out Vec
+func absOp(bits, elem int) func(m *Machine, args []Value, out *Value) error {
+	return func(m *Machine, args []Value, out *Value) error {
+		a := &args[0].V
+		v := vecOut(out)
 		for i := 0; i < bits/elem; i++ {
 			switch elem {
 			case 8:
@@ -496,125 +447,118 @@ func absOp(bits, elem int) func(m *Machine, args []Value) (Value, error) {
 				if x < 0 {
 					x = -x
 				}
-				out.SetI8(i, x)
+				v.SetI8(i, x)
 			case 16:
 				x := a.I16(i)
 				if x < 0 {
 					x = -x
 				}
-				out.SetI16(i, x)
+				v.SetI16(i, x)
 			default:
 				x := a.I32(i)
 				if x < 0 {
 					x = -x
 				}
-				out.SetI32(i, x)
+				v.SetI32(i, x)
 			}
 		}
-		return vecResult(out)
+		return nil
 	}
 }
 
-func hAddI16(bits int, sub bool) func(m *Machine, args []Value) (Value, error) {
-	return func(m *Machine, args []Value) (Value, error) {
-		a, b := argVec(args, 0), argVec(args, 1)
-		var out Vec
+func hAddI16(bits int, sub bool) func(m *Machine, args []Value, out *Value) error {
+	return func(m *Machine, args []Value, out *Value) error {
+		a, b := &args[0].V, &args[1].V
+		v := vecOut(out)
 		for lane := 0; lane < bits/128; lane++ {
 			o := lane * 8
 			for i := 0; i < 4; i++ {
 				if sub {
-					out.SetI16(o+i, a.I16(o+2*i)-a.I16(o+2*i+1))
-					out.SetI16(o+4+i, b.I16(o+2*i)-b.I16(o+2*i+1))
+					v.SetI16(o+i, a.I16(o+2*i)-a.I16(o+2*i+1))
+					v.SetI16(o+4+i, b.I16(o+2*i)-b.I16(o+2*i+1))
 				} else {
-					out.SetI16(o+i, a.I16(o+2*i)+a.I16(o+2*i+1))
-					out.SetI16(o+4+i, b.I16(o+2*i)+b.I16(o+2*i+1))
+					v.SetI16(o+i, a.I16(o+2*i)+a.I16(o+2*i+1))
+					v.SetI16(o+4+i, b.I16(o+2*i)+b.I16(o+2*i+1))
 				}
 			}
 		}
-		return vecResult(out)
+		return nil
 	}
 }
 
-func hAddI32(bits int, sub bool) func(m *Machine, args []Value) (Value, error) {
-	return func(m *Machine, args []Value) (Value, error) {
-		a, b := argVec(args, 0), argVec(args, 1)
-		var out Vec
+func hAddI32(bits int, sub bool) func(m *Machine, args []Value, out *Value) error {
+	return func(m *Machine, args []Value, out *Value) error {
+		a, b := &args[0].V, &args[1].V
+		v := vecOut(out)
 		for lane := 0; lane < bits/128; lane++ {
 			o := lane * 4
 			for i := 0; i < 2; i++ {
 				if sub {
-					out.SetI32(o+i, a.I32(o+2*i)-a.I32(o+2*i+1))
-					out.SetI32(o+2+i, b.I32(o+2*i)-b.I32(o+2*i+1))
+					v.SetI32(o+i, a.I32(o+2*i)-a.I32(o+2*i+1))
+					v.SetI32(o+2+i, b.I32(o+2*i)-b.I32(o+2*i+1))
 				} else {
-					out.SetI32(o+i, a.I32(o+2*i)+a.I32(o+2*i+1))
-					out.SetI32(o+2+i, b.I32(o+2*i)+b.I32(o+2*i+1))
+					v.SetI32(o+i, a.I32(o+2*i)+a.I32(o+2*i+1))
+					v.SetI32(o+2+i, b.I32(o+2*i)+b.I32(o+2*i+1))
 				}
 			}
 		}
-		return vecResult(out)
+		return nil
 	}
 }
 
-func movemask8(bits int) func(m *Machine, args []Value) (Value, error) {
-	return func(m *Machine, args []Value) (Value, error) {
-		a := argVec(args, 0)
+func movemask8(bits int) func(m *Machine, args []Value, out *Value) error {
+	return func(m *Machine, args []Value, out *Value) error {
+		a := &args[0].V
 		mask := 0
 		for i := 0; i < bits/8; i++ {
 			if a.b[i]&0x80 != 0 {
 				mask |= 1 << i
 			}
 		}
-		return IntValue(mask), nil
+		return scalar(out, IntValue(mask))
 	}
 }
 
-func movemaskF32(bits int) func(m *Machine, args []Value) (Value, error) {
-	return func(m *Machine, args []Value) (Value, error) {
-		a := argVec(args, 0)
+func movemaskF32(bits int) func(m *Machine, args []Value, out *Value) error {
+	return func(m *Machine, args []Value, out *Value) error {
+		a := &args[0].V
 		mask := 0
 		for i := 0; i < bits/32; i++ {
 			if a.U32(i)&0x80000000 != 0 {
 				mask |= 1 << i
 			}
 		}
-		return IntValue(mask), nil
+		return scalar(out, IntValue(mask))
 	}
 }
 
-func movemaskF64(bits int) func(m *Machine, args []Value) (Value, error) {
-	return func(m *Machine, args []Value) (Value, error) {
-		a := argVec(args, 0)
+func movemaskF64(bits int) func(m *Machine, args []Value, out *Value) error {
+	return func(m *Machine, args []Value, out *Value) error {
+		a := &args[0].V
 		mask := 0
 		for i := 0; i < bits/64; i++ {
 			if a.U64(i)&0x8000000000000000 != 0 {
 				mask |= 1 << i
 			}
 		}
-		return IntValue(mask), nil
+		return scalar(out, IntValue(mask))
 	}
 }
 
 func registerWidenings() {
 	// 128-bit sources; SSE4.1 widens the low lanes of a 128-bit register,
 	// AVX2 widens a full 128-bit register into 256 bits.
-	widen := func(name string, n int, get func(a Vec, i int) int64, set func(out *Vec, i int, v int64)) {
-		register(name, func(m *Machine, args []Value) (Value, error) {
-			a := argVec(args, 0)
-			var out Vec
-			for i := 0; i < n; i++ {
-				set(&out, i, get(a, i))
-			}
-			return vecResult(out)
-		})
+	widen := func(name string, n int, get func(a *Vec, i int) int64, set func(v *Vec, i int, x int64)) {
+		regConvert(name, n, func(v, a *Vec, i int) { set(v, i, get(a, i)) })
 	}
-	getI8 := func(a Vec, i int) int64 { return int64(a.I8(i)) }
-	getU8 := func(a Vec, i int) int64 { return int64(a.U8(i)) }
-	getI16 := func(a Vec, i int) int64 { return int64(a.I16(i)) }
-	getU16 := func(a Vec, i int) int64 { return int64(a.U16(i)) }
-	getI32 := func(a Vec, i int) int64 { return int64(a.I32(i)) }
-	setI16 := func(out *Vec, i int, v int64) { out.SetI16(i, int16(v)) }
-	setI32 := func(out *Vec, i int, v int64) { out.SetI32(i, int32(v)) }
-	setI64 := func(out *Vec, i int, v int64) { out.SetI64(i, v) }
+	getI8 := func(a *Vec, i int) int64 { return int64(a.I8(i)) }
+	getU8 := func(a *Vec, i int) int64 { return int64(a.U8(i)) }
+	getI16 := func(a *Vec, i int) int64 { return int64(a.I16(i)) }
+	getU16 := func(a *Vec, i int) int64 { return int64(a.U16(i)) }
+	getI32 := func(a *Vec, i int) int64 { return int64(a.I32(i)) }
+	setI16 := func(v *Vec, i int, x int64) { v.SetI16(i, int16(x)) }
+	setI32 := func(v *Vec, i int, x int64) { v.SetI32(i, int32(x)) }
+	setI64 := func(v *Vec, i int, x int64) { v.SetI64(i, x) }
 
 	widen("_mm_cvtepi8_epi16", 8, getI8, setI16)
 	widen("_mm_cvtepi8_epi32", 4, getI8, setI32)
@@ -635,44 +579,44 @@ func registerWidenings() {
 func registerPacks() {
 	// packs_epi16: saturate 16→8 signed; a's lanes then b's lanes, per
 	// 128-bit lane.
-	packs16 := func(bits int, unsigned bool) func(m *Machine, args []Value) (Value, error) {
-		return func(m *Machine, args []Value) (Value, error) {
-			a, b := argVec(args, 0), argVec(args, 1)
-			var out Vec
+	packs16 := func(bits int, unsigned bool) func(m *Machine, args []Value, out *Value) error {
+		return func(m *Machine, args []Value, out *Value) error {
+			a, b := &args[0].V, &args[1].V
+			v := vecOut(out)
 			for lane := 0; lane < bits/128; lane++ {
 				for i := 0; i < 8; i++ {
 					av := int(a.I16(lane*8 + i))
 					bv := int(b.I16(lane*8 + i))
 					if unsigned {
-						out.SetU8(lane*16+i, satU8(av))
-						out.SetU8(lane*16+8+i, satU8(bv))
+						v.SetU8(lane*16+i, satU8(av))
+						v.SetU8(lane*16+8+i, satU8(bv))
 					} else {
-						out.SetI8(lane*16+i, satI8(av))
-						out.SetI8(lane*16+8+i, satI8(bv))
+						v.SetI8(lane*16+i, satI8(av))
+						v.SetI8(lane*16+8+i, satI8(bv))
 					}
 				}
 			}
-			return vecResult(out)
+			return nil
 		}
 	}
-	packs32 := func(bits int, unsigned bool) func(m *Machine, args []Value) (Value, error) {
-		return func(m *Machine, args []Value) (Value, error) {
-			a, b := argVec(args, 0), argVec(args, 1)
-			var out Vec
+	packs32 := func(bits int, unsigned bool) func(m *Machine, args []Value, out *Value) error {
+		return func(m *Machine, args []Value, out *Value) error {
+			a, b := &args[0].V, &args[1].V
+			v := vecOut(out)
 			for lane := 0; lane < bits/128; lane++ {
 				for i := 0; i < 4; i++ {
 					av := int(a.I32(lane*4 + i))
 					bv := int(b.I32(lane*4 + i))
 					if unsigned {
-						out.SetU16(lane*8+i, satU16(av))
-						out.SetU16(lane*8+4+i, satU16(bv))
+						v.SetU16(lane*8+i, satU16(av))
+						v.SetU16(lane*8+4+i, satU16(bv))
 					} else {
-						out.SetI16(lane*8+i, satI16(av))
-						out.SetI16(lane*8+4+i, satI16(bv))
+						v.SetI16(lane*8+i, satI16(av))
+						v.SetI16(lane*8+4+i, satI16(bv))
 					}
 				}
 			}
-			return vecResult(out)
+			return nil
 		}
 	}
 	register("_mm_packs_epi16", packs16(128, false))

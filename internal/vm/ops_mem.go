@@ -7,32 +7,35 @@ package vm
 // unaligned counterparts (the simulator's buffers carry no addresses),
 // but remain distinct ops so the cost model can price them apart.
 
+import "repro/internal/ir"
+
 func regLoad(name string, bytes int) {
-	register(name, func(m *Machine, args []Value) (Value, error) {
+	register(name, func(m *Machine, args []Value, out *Value) error {
 		buf, off, err := argPtr(args, 0)
 		if err != nil {
-			return Value{}, err
+			return err
 		}
-		v, err := buf.LoadVec(off, bytes)
-		if err != nil {
-			return Value{}, err
+		// LoadVec defines every byte of V, so only Kind needs setting.
+		out.Kind = ir.KindVec
+		if err := buf.LoadVec(off, bytes, &out.V); err != nil {
+			return err
 		}
 		m.Touch(buf, off*buf.Prim.Bits()/8, bytes)
-		return vecResult(v)
+		return nil
 	})
 }
 
 func regStore(name string, bytes int) {
-	register(name, func(m *Machine, args []Value) (Value, error) {
+	register(name, func(m *Machine, args []Value, out *Value) error {
 		buf, off, err := argPtr(args, 0)
 		if err != nil {
-			return Value{}, err
+			return err
 		}
-		if err := buf.StoreVec(off, argVec(args, 1), bytes); err != nil {
-			return Value{}, err
+		if err := buf.StoreVec(off, &args[1].V, bytes); err != nil {
+			return err
 		}
 		m.Touch(buf, off*buf.Prim.Bits()/8, bytes)
-		return voidResult()
+		return nil
 	})
 }
 
@@ -73,178 +76,176 @@ func init() {
 	}
 
 	// Scalar loads/stores.
-	register("_mm_load_ss", func(m *Machine, args []Value) (Value, error) {
+	register("_mm_load_ss", func(m *Machine, args []Value, out *Value) error {
 		buf, off, err := argPtr(args, 0)
 		if err != nil {
-			return Value{}, err
+			return err
 		}
 		if err := buf.check(off*4, 4); err != nil {
-			return Value{}, err
+			return err
 		}
-		var out Vec
-		out.SetF32(0, buf.F32At(off))
-		return vecResult(out)
+		v := vecOut(out)
+		v.SetF32(0, buf.F32At(off))
+		return nil
 	})
-	register("_mm_store_ss", func(m *Machine, args []Value) (Value, error) {
+	register("_mm_store_ss", func(m *Machine, args []Value, out *Value) error {
 		buf, off, err := argPtr(args, 0)
 		if err != nil {
-			return Value{}, err
+			return err
 		}
 		if err := buf.check(off*4, 4); err != nil {
-			return Value{}, err
+			return err
 		}
 		buf.SetF32At(off, args[1].V.F32(0))
-		return voidResult()
+		return nil
 	})
-	register("_mm_load_ps1", func(m *Machine, args []Value) (Value, error) {
+	register("_mm_load_ps1", func(m *Machine, args []Value, out *Value) error {
 		buf, off, err := argPtr(args, 0)
 		if err != nil {
-			return Value{}, err
+			return err
 		}
 		if err := buf.check(off*4, 4); err != nil {
-			return Value{}, err
+			return err
 		}
 		x := buf.F32At(off)
-		var out Vec
+		v := vecOut(out)
 		for i := 0; i < 4; i++ {
-			out.SetF32(i, x)
+			v.SetF32(i, x)
 		}
-		return vecResult(out)
+		return nil
 	})
-	register("_mm_store_ps1", func(m *Machine, args []Value) (Value, error) {
+	register("_mm_store_ps1", func(m *Machine, args []Value, out *Value) error {
 		buf, off, err := argPtr(args, 0)
 		if err != nil {
-			return Value{}, err
+			return err
 		}
 		if err := buf.check(off*4, 16); err != nil {
-			return Value{}, err
+			return err
 		}
 		x := args[1].V.F32(0)
 		for i := 0; i < 4; i++ {
 			buf.SetF32At(off+i, x)
 		}
-		return voidResult()
+		return nil
 	})
-	register("_mm_store_pd1", func(m *Machine, args []Value) (Value, error) {
+	register("_mm_store_pd1", func(m *Machine, args []Value, out *Value) error {
 		buf, off, err := argPtr(args, 0)
 		if err != nil {
-			return Value{}, err
+			return err
 		}
 		if err := buf.check(off*8, 16); err != nil {
-			return Value{}, err
+			return err
 		}
 		x := args[1].V.F64(0)
 		for i := 0; i < 2; i++ {
 			buf.SetF64At(off+i, x)
 		}
-		return voidResult()
+		return nil
 	})
-	register("_mm_loaddup_pd", func(m *Machine, args []Value) (Value, error) {
+	register("_mm_loaddup_pd", func(m *Machine, args []Value, out *Value) error {
 		buf, off, err := argPtr(args, 0)
 		if err != nil {
-			return Value{}, err
+			return err
 		}
 		if err := buf.check(off*8, 8); err != nil {
-			return Value{}, err
+			return err
 		}
 		x := buf.F64At(off)
-		var out Vec
-		out.SetF64(0, x)
-		out.SetF64(1, x)
-		return vecResult(out)
+		v := vecOut(out)
+		v.SetF64(0, x)
+		v.SetF64(1, x)
+		return nil
 	})
 
 	// Memory broadcasts.
-	register("_mm256_broadcast_ss", func(m *Machine, args []Value) (Value, error) {
+	register("_mm256_broadcast_ss", func(m *Machine, args []Value, out *Value) error {
 		buf, off, err := argPtr(args, 0)
 		if err != nil {
-			return Value{}, err
+			return err
 		}
 		if err := buf.check(off*4, 4); err != nil {
-			return Value{}, err
+			return err
 		}
 		x := buf.F32At(off)
-		var out Vec
+		v := vecOut(out)
 		for i := 0; i < 8; i++ {
-			out.SetF32(i, x)
+			v.SetF32(i, x)
 		}
-		return vecResult(out)
+		return nil
 	})
-	register("_mm256_broadcast_sd", func(m *Machine, args []Value) (Value, error) {
+	register("_mm256_broadcast_sd", func(m *Machine, args []Value, out *Value) error {
 		buf, off, err := argPtr(args, 0)
 		if err != nil {
-			return Value{}, err
+			return err
 		}
 		if err := buf.check(off*8, 8); err != nil {
-			return Value{}, err
+			return err
 		}
 		x := buf.F64At(off)
-		var out Vec
+		v := vecOut(out)
 		for i := 0; i < 4; i++ {
-			out.SetF64(i, x)
+			v.SetF64(i, x)
 		}
-		return vecResult(out)
+		return nil
 	})
-	bcast128 := func(m *Machine, args []Value) (Value, error) {
+	bcast128 := func(m *Machine, args []Value, out *Value) error {
 		buf, off, err := argPtr(args, 0)
 		if err != nil {
-			return Value{}, err
+			return err
 		}
-		v, err := buf.LoadVec(off, 16)
-		if err != nil {
-			return Value{}, err
+		v := vecOut(out)
+		if err := buf.LoadVec(off, 16, v); err != nil {
+			return err
 		}
-		var out Vec
-		copy(out.b[:16], v.b[:16])
-		copy(out.b[16:32], v.b[:16])
-		return vecResult(out)
+		copy(v.b[16:32], v.b[:16])
+		return nil
 	}
 	register("_mm256_broadcast_ps", bcast128)
 	register("_mm256_broadcast_pd", bcast128)
 
 	// Masked loads/stores (AVX / AVX2): element moves where the mask's
 	// sign bit is set.
-	maskLoad := func(elemBytes, n int) func(m *Machine, args []Value) (Value, error) {
-		return func(m *Machine, args []Value) (Value, error) {
+	maskLoad := func(elemBytes, n int) func(m *Machine, args []Value, out *Value) error {
+		return func(m *Machine, args []Value, out *Value) error {
 			buf, off, err := argPtr(args, 0)
 			if err != nil {
-				return Value{}, err
+				return err
 			}
-			mask := argVec(args, 1)
-			var out Vec
+			mask := &args[1].V
+			v := vecOut(out)
 			for i := 0; i < n; i++ {
 				if mask.b[(i+1)*elemBytes-1]&0x80 == 0 {
 					continue
 				}
 				byteOff := (off + i) * buf.Prim.Bits() / 8
 				if err := buf.check(byteOff, elemBytes); err != nil {
-					return Value{}, err
+					return err
 				}
 				m.Touch(buf, byteOff, elemBytes)
-				copy(out.b[i*elemBytes:(i+1)*elemBytes], buf.Data[byteOff:byteOff+elemBytes])
+				copy(v.b[i*elemBytes:(i+1)*elemBytes], buf.Data[byteOff:byteOff+elemBytes])
 			}
-			return vecResult(out)
+			return nil
 		}
 	}
-	maskStore := func(elemBytes, n int) func(m *Machine, args []Value) (Value, error) {
-		return func(m *Machine, args []Value) (Value, error) {
+	maskStore := func(elemBytes, n int) func(m *Machine, args []Value, out *Value) error {
+		return func(m *Machine, args []Value, out *Value) error {
 			buf, off, err := argPtr(args, 0)
 			if err != nil {
-				return Value{}, err
+				return err
 			}
-			mask, a := argVec(args, 1), argVec(args, 2)
+			mask, a := &args[1].V, &args[2].V
 			for i := 0; i < n; i++ {
 				if mask.b[(i+1)*elemBytes-1]&0x80 == 0 {
 					continue
 				}
 				byteOff := (off + i) * buf.Prim.Bits() / 8
 				if err := buf.check(byteOff, elemBytes); err != nil {
-					return Value{}, err
+					return err
 				}
 				m.Touch(buf, byteOff, elemBytes)
 				copy(buf.Data[byteOff:byteOff+elemBytes], a.b[i*elemBytes:(i+1)*elemBytes])
 			}
-			return voidResult()
+			return nil
 		}
 	}
 	register("_mm256_maskload_ps", maskLoad(4, 8))
@@ -257,50 +258,50 @@ func init() {
 	// Gathers (AVX2): scale is in bytes on hardware; buffers are element-
 	// typed here, so the simulator honours scale relative to the element
 	// size.
-	gather32 := func(n int) func(m *Machine, args []Value) (Value, error) {
-		return func(m *Machine, args []Value) (Value, error) {
+	gather32 := func(n int) func(m *Machine, args []Value, out *Value) error {
+		return func(m *Machine, args []Value, out *Value) error {
 			buf, off, err := argPtr(args, 0)
 			if err != nil {
-				return Value{}, err
+				return err
 			}
-			vindex := argVec(args, 1)
+			vindex := &args[1].V
 			scale := argInt(args, 2)
 			elemBytes := buf.Prim.Bits() / 8
-			var out Vec
+			v := vecOut(out)
 			for i := 0; i < n; i++ {
 				byteOff := off*elemBytes + int(vindex.I32(i))*scale
 				if err := buf.check(byteOff, 4); err != nil {
-					return Value{}, err
+					return err
 				}
 				m.Touch(buf, byteOff, 4)
-				copy(out.b[i*4:(i+1)*4], buf.Data[byteOff:byteOff+4])
+				copy(v.b[i*4:(i+1)*4], buf.Data[byteOff:byteOff+4])
 			}
-			return vecResult(out)
+			return nil
 		}
 	}
 	register("_mm256_i32gather_epi32", gather32(8))
 	register("_mm256_i32gather_ps", gather32(8))
-	register("_mm256_i32gather_pd", func(m *Machine, args []Value) (Value, error) {
+	register("_mm256_i32gather_pd", func(m *Machine, args []Value, out *Value) error {
 		buf, off, err := argPtr(args, 0)
 		if err != nil {
-			return Value{}, err
+			return err
 		}
-		vindex := argVec(args, 1)
+		vindex := &args[1].V
 		scale := argInt(args, 2)
 		elemBytes := buf.Prim.Bits() / 8
-		var out Vec
+		v := vecOut(out)
 		for i := 0; i < 4; i++ {
 			byteOff := off*elemBytes + int(vindex.I32(i))*scale
 			if err := buf.check(byteOff, 8); err != nil {
-				return Value{}, err
+				return err
 			}
-			copy(out.b[i*8:(i+1)*8], buf.Data[byteOff:byteOff+8])
+			copy(v.b[i*8:(i+1)*8], buf.Data[byteOff:byteOff+8])
 		}
-		return vecResult(out)
+		return nil
 	})
 
 	// Cache-control and fences: no-ops with cost-model presence.
-	noop := func(m *Machine, args []Value) (Value, error) { return voidResult() }
+	noop := func(m *Machine, args []Value, out *Value) error { return nil }
 	for _, n := range []string{"_mm_prefetch", "_mm_sfence", "_mm_lfence",
 		"_mm_mfence", "_mm256_zeroall", "_mm256_zeroupper"} {
 		register(n, noop)

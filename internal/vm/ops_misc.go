@@ -1,7 +1,6 @@
 package vm
 
 import (
-	"math"
 	"math/bits"
 
 	"repro/internal/ir"
@@ -13,11 +12,11 @@ import (
 
 func init() {
 	// RDRAND / RDSEED: write through the out-pointer, return 1 (success).
-	randStep := func(bitsN int) func(m *Machine, args []Value) (Value, error) {
-		return func(m *Machine, args []Value) (Value, error) {
+	randStep := func(bitsN int) func(m *Machine, args []Value, out *Value) error {
+		return func(m *Machine, args []Value, out *Value) error {
 			buf, off, err := argPtr(args, 0)
 			if err != nil {
-				return Value{}, err
+				return err
 			}
 			switch bitsN {
 			case 16:
@@ -27,7 +26,7 @@ func init() {
 			default:
 				buf.SetIntAt(off, int64(m.Rand.Next64()))
 			}
-			return IntValue(1), nil
+			return scalar(out, IntValue(1))
 		}
 	}
 	register("_rdrand16_step", randStep(16))
@@ -37,50 +36,50 @@ func init() {
 	register("_rdseed32_step", randStep(32))
 	register("_rdseed64_step", randStep(64))
 
-	register("_mm_popcnt_u32", func(m *Machine, args []Value) (Value, error) {
-		return IntValue(bits.OnesCount32(uint32(args[0].AsInt()))), nil
+	register("_mm_popcnt_u32", func(m *Machine, args []Value, out *Value) error {
+		return scalar(out, IntValue(bits.OnesCount32(uint32(args[0].AsInt()))))
 	})
-	register("_mm_popcnt_u64", func(m *Machine, args []Value) (Value, error) {
-		return Value{Kind: ir.KindI64, I: int64(bits.OnesCount64(uint64(args[0].AsInt())))}, nil
+	register("_mm_popcnt_u64", func(m *Machine, args []Value, out *Value) error {
+		return scalar(out, Value{Kind: ir.KindI64, I: int64(bits.OnesCount64(uint64(args[0].AsInt())))})
 	})
-	register("_lzcnt_u32", func(m *Machine, args []Value) (Value, error) {
-		return Value{Kind: ir.KindU32, U: uint64(bits.LeadingZeros32(uint32(args[0].AsInt())))}, nil
+	register("_lzcnt_u32", func(m *Machine, args []Value, out *Value) error {
+		return scalar(out, Value{Kind: ir.KindU32, U: uint64(bits.LeadingZeros32(uint32(args[0].AsInt())))})
 	})
-	register("_lzcnt_u64", func(m *Machine, args []Value) (Value, error) {
-		return Value{Kind: ir.KindU64, U: uint64(bits.LeadingZeros64(uint64(args[0].AsInt())))}, nil
+	register("_lzcnt_u64", func(m *Machine, args []Value, out *Value) error {
+		return scalar(out, Value{Kind: ir.KindU64, U: uint64(bits.LeadingZeros64(uint64(args[0].AsInt())))})
 	})
-	register("_tzcnt_u32", func(m *Machine, args []Value) (Value, error) {
-		return Value{Kind: ir.KindU32, U: uint64(bits.TrailingZeros32(uint32(args[0].AsInt())))}, nil
+	register("_tzcnt_u32", func(m *Machine, args []Value, out *Value) error {
+		return scalar(out, Value{Kind: ir.KindU32, U: uint64(bits.TrailingZeros32(uint32(args[0].AsInt())))})
 	})
-	register("_tzcnt_u64", func(m *Machine, args []Value) (Value, error) {
-		return Value{Kind: ir.KindU64, U: uint64(bits.TrailingZeros64(uint64(args[0].AsInt())))}, nil
+	register("_tzcnt_u64", func(m *Machine, args []Value, out *Value) error {
+		return scalar(out, Value{Kind: ir.KindU64, U: uint64(bits.TrailingZeros64(uint64(args[0].AsInt())))})
 	})
-	register("_blsr_u32", func(m *Machine, args []Value) (Value, error) {
+	register("_blsr_u32", func(m *Machine, args []Value, out *Value) error {
 		x := uint32(args[0].AsInt())
-		return Value{Kind: ir.KindU32, U: uint64(x & (x - 1))}, nil
+		return scalar(out, Value{Kind: ir.KindU32, U: uint64(x & (x - 1))})
 	})
-	register("_pext_u32", func(m *Machine, args []Value) (Value, error) {
+	register("_pext_u32", func(m *Machine, args []Value, out *Value) error {
 		x, mask := uint32(args[0].AsInt()), uint32(args[1].AsInt())
-		var out, k uint32
+		var r, k uint32
 		for i := 0; i < 32; i++ {
 			if mask>>i&1 == 1 {
-				out |= (x >> i & 1) << k
+				r |= (x >> i & 1) << k
 				k++
 			}
 		}
-		return Value{Kind: ir.KindU32, U: uint64(out)}, nil
+		return scalar(out, Value{Kind: ir.KindU32, U: uint64(r)})
 	})
-	register("_pdep_u32", func(m *Machine, args []Value) (Value, error) {
+	register("_pdep_u32", func(m *Machine, args []Value, out *Value) error {
 		x, mask := uint32(args[0].AsInt()), uint32(args[1].AsInt())
-		var out uint32
+		var r uint32
 		k := 0
 		for i := 0; i < 32; i++ {
 			if mask>>i&1 == 1 {
-				out |= (x >> k & 1) << i
+				r |= (x >> k & 1) << i
 				k++
 			}
 		}
-		return Value{Kind: ir.KindU32, U: uint64(out)}, nil
+		return scalar(out, Value{Kind: ir.KindU32, U: uint64(r)})
 	})
 
 	// CRC32C (Castagnoli, reflected polynomial 0x82F63B78).
@@ -98,28 +97,28 @@ func init() {
 		}
 		return c
 	}
-	register("_mm_crc32_u8", func(m *Machine, args []Value) (Value, error) {
-		return Value{Kind: ir.KindU32, U: uint64(crc(uint32(args[0].AsInt()), uint64(args[1].AsInt()), 1))}, nil
+	register("_mm_crc32_u8", func(m *Machine, args []Value, out *Value) error {
+		return scalar(out, Value{Kind: ir.KindU32, U: uint64(crc(uint32(args[0].AsInt()), uint64(args[1].AsInt()), 1))})
 	})
-	register("_mm_crc32_u16", func(m *Machine, args []Value) (Value, error) {
-		return Value{Kind: ir.KindU32, U: uint64(crc(uint32(args[0].AsInt()), uint64(args[1].AsInt()), 2))}, nil
+	register("_mm_crc32_u16", func(m *Machine, args []Value, out *Value) error {
+		return scalar(out, Value{Kind: ir.KindU32, U: uint64(crc(uint32(args[0].AsInt()), uint64(args[1].AsInt()), 2))})
 	})
-	register("_mm_crc32_u32", func(m *Machine, args []Value) (Value, error) {
-		return Value{Kind: ir.KindU32, U: uint64(crc(uint32(args[0].AsInt()), uint64(args[1].AsInt()), 4))}, nil
+	register("_mm_crc32_u32", func(m *Machine, args []Value, out *Value) error {
+		return scalar(out, Value{Kind: ir.KindU32, U: uint64(crc(uint32(args[0].AsInt()), uint64(args[1].AsInt()), 4))})
 	})
-	register("_mm_crc32_u64", func(m *Machine, args []Value) (Value, error) {
-		return Value{Kind: ir.KindU64, U: uint64(crc(uint32(args[0].AsInt()), uint64(args[1].AsInt()), 8))}, nil
+	register("_mm_crc32_u64", func(m *Machine, args []Value, out *Value) error {
+		return scalar(out, Value{Kind: ir.KindU64, U: uint64(crc(uint32(args[0].AsInt()), uint64(args[1].AsInt()), 8))})
 	})
 
 	// Timestamp counter: a monotonically growing virtual cycle count
 	// derived from executed-op totals.
-	register("_rdtsc", func(m *Machine, args []Value) (Value, error) {
-		return Value{Kind: ir.KindU64, U: uint64(m.Counts.Total()) * 2}, nil
+	register("_rdtsc", func(m *Machine, args []Value, out *Value) error {
+		return scalar(out, Value{Kind: ir.KindU64, U: uint64(m.Counts.Total()) * 2})
 	})
 
 	// SSE4.1 dot products.
-	register("_mm_dp_ps", func(m *Machine, args []Value) (Value, error) {
-		a, b := argVec(args, 0), argVec(args, 1)
+	register("_mm_dp_ps", func(m *Machine, args []Value, out *Value) error {
+		a, b := &args[0].V, &args[1].V
 		imm := argInt(args, 2)
 		var sum float32
 		for i := 0; i < 4; i++ {
@@ -127,16 +126,16 @@ func init() {
 				sum += a.F32(i) * b.F32(i)
 			}
 		}
-		var out Vec
+		v := vecOut(out)
 		for i := 0; i < 4; i++ {
 			if imm>>i&1 == 1 {
-				out.SetF32(i, sum)
+				v.SetF32(i, sum)
 			}
 		}
-		return vecResult(out)
+		return nil
 	})
-	register("_mm_dp_pd", func(m *Machine, args []Value) (Value, error) {
-		a, b := argVec(args, 0), argVec(args, 1)
+	register("_mm_dp_pd", func(m *Machine, args []Value, out *Value) error {
+		a, b := &args[0].V, &args[1].V
 		imm := argInt(args, 2)
 		var sum float64
 		for i := 0; i < 2; i++ {
@@ -144,59 +143,58 @@ func init() {
 				sum += a.F64(i) * b.F64(i)
 			}
 		}
-		var out Vec
+		v := vecOut(out)
 		for i := 0; i < 2; i++ {
 			if imm>>i&1 == 1 {
-				out.SetF64(i, sum)
+				v.SetF64(i, sum)
 			}
 		}
-		return vecResult(out)
+		return nil
 	})
 
 	// AVX-512 reductions and masks.
-	register("_mm512_reduce_add_ps", func(m *Machine, args []Value) (Value, error) {
-		a := argVec(args, 0)
+	register("_mm512_reduce_add_ps", func(m *Machine, args []Value, out *Value) error {
+		a := &args[0].V
 		var sum float32
 		for i := 0; i < 16; i++ {
 			sum += a.F32(i)
 		}
-		return F32Value(sum), nil
+		return scalar(out, F32Value(sum))
 	})
-	register("_mm512_reduce_add_pd", func(m *Machine, args []Value) (Value, error) {
-		a := argVec(args, 0)
+	register("_mm512_reduce_add_pd", func(m *Machine, args []Value, out *Value) error {
+		a := &args[0].V
 		var sum float64
 		for i := 0; i < 8; i++ {
 			sum += a.F64(i)
 		}
-		return F64Value(sum), nil
+		return scalar(out, F64Value(sum))
 	})
-	register("_mm512_cmpeq_epi32_mask", func(m *Machine, args []Value) (Value, error) {
-		a, b := argVec(args, 0), argVec(args, 1)
-		var mask Vec
-		var bitsOut uint16
+	register("_mm512_cmpeq_epi32_mask", func(m *Machine, args []Value, out *Value) error {
+		a, b := &args[0].V, &args[1].V
+		var mask uint16
 		for i := 0; i < 16; i++ {
 			if a.I32(i) == b.I32(i) {
-				bitsOut |= 1 << i
+				mask |= 1 << i
 			}
 		}
-		mask.SetU16(0, bitsOut)
-		return vecResult(mask)
+		vecOut(out).SetU16(0, mask)
+		return nil
 	})
-	register("_mm512_mask_add_ps", func(m *Machine, args []Value) (Value, error) {
-		src, k, a, b := argVec(args, 0), argVec(args, 1), argVec(args, 2), argVec(args, 3)
-		out := src
+	register("_mm512_mask_add_ps", func(m *Machine, args []Value, out *Value) error {
+		src, k, a, b := &args[0].V, &args[1].V, &args[2].V, &args[3].V
+		v := vecCopy(out, src)
 		mask := k.U16(0)
 		for i := 0; i < 16; i++ {
 			if mask>>i&1 == 1 {
-				out.SetF32(i, a.F32(i)+b.F32(i))
+				v.SetF32(i, a.F32(i)+b.F32(i))
 			}
 		}
-		return vecResult(out)
+		return nil
 	})
-	register("_mm_cmp_epi16_mask", func(m *Machine, args []Value) (Value, error) {
-		a, b := argVec(args, 0), argVec(args, 1)
+	register("_mm_cmp_epi16_mask", func(m *Machine, args []Value, out *Value) error {
+		a, b := &args[0].V, &args[1].V
 		imm := argInt(args, 2)
-		var out Vec
+		v := vecOut(out)
 		var mask uint8
 		for i := 0; i < 8; i++ {
 			x, y := a.I16(i), b.I16(i)
@@ -219,33 +217,33 @@ func init() {
 				mask |= 1 << i
 			}
 		}
-		out.SetU8(0, mask)
-		return vecResult(out)
+		v.SetU8(0, mask)
+		return nil
 	})
 
 	// AES and SHA rounds: simplified mixing functions — the exact FIPS
 	// transformations are out of scope, but the ops stay executable and
 	// deterministic so pipelines using them can be tested end-to-end.
-	mix := func(seed uint64) func(m *Machine, args []Value) (Value, error) {
-		return func(m *Machine, args []Value) (Value, error) {
-			a, b := argVec(args, 0), argVec(args, 1)
-			var out Vec
+	mix := func(seed uint64) func(m *Machine, args []Value, out *Value) error {
+		return func(m *Machine, args []Value, out *Value) error {
+			a, b := &args[0].V, &args[1].V
+			v := vecOut(out)
 			for i := 0; i < 2; i++ {
 				x := a.U64(i) ^ b.U64(i)
 				x ^= x >> 33
 				x *= seed
 				x ^= x >> 29
-				out.SetU64(i, x)
+				v.SetU64(i, x)
 			}
-			return vecResult(out)
+			return nil
 		}
 	}
 	register("_mm_aesdec_si128", mix(0xC2B2AE3D27D4EB4F))
 	register("_mm_aesenc_si128", mix(0x9E3779B97F4A7C15))
 	register("_mm_sha1msg1_epu32", mix(0xFF51AFD7ED558CCD))
 	register("_mm_sha256msg1_epu32", mix(0xC4CEB9FE1A85EC53))
-	register("_mm_clmulepi64_si128", func(m *Machine, args []Value) (Value, error) {
-		a, b := argVec(args, 0), argVec(args, 1)
+	register("_mm_clmulepi64_si128", func(m *Machine, args []Value, out *Value) error {
+		a, b := &args[0].V, &args[1].V
 		imm := argInt(args, 2)
 		x := a.U64(imm & 1)
 		y := b.U64(imm >> 4 & 1)
@@ -258,44 +256,44 @@ func init() {
 				}
 			}
 		}
-		var out Vec
-		out.SetU64(0, lo)
-		out.SetU64(1, hi)
-		return vecResult(out)
+		v := vecOut(out)
+		v.SetU64(0, lo)
+		v.SetU64(1, hi)
+		return nil
 	})
 
 	// SSE4.2 string compares: equal-each (imm ignored beyond that) —
 	// enough to execute staged string kernels.
-	register("_mm_cmpistri", func(m *Machine, args []Value) (Value, error) {
-		a, b := argVec(args, 0), argVec(args, 1)
+	register("_mm_cmpistri", func(m *Machine, args []Value, out *Value) error {
+		a, b := &args[0].V, &args[1].V
 		for i := 0; i < 16; i++ {
 			if a.U8(i) != b.U8(i) {
-				return IntValue(i), nil
+				return scalar(out, IntValue(i))
 			}
 		}
-		return IntValue(16), nil
+		return scalar(out, IntValue(16))
 	})
-	register("_mm_cmpistrz", func(m *Machine, args []Value) (Value, error) {
-		b := argVec(args, 1)
+	register("_mm_cmpistrz", func(m *Machine, args []Value, out *Value) error {
+		b := &args[1].V
 		for i := 0; i < 16; i++ {
 			if b.U8(i) == 0 {
-				return IntValue(1), nil
+				return scalar(out, IntValue(1))
 			}
 		}
-		return IntValue(0), nil
+		return scalar(out, IntValue(0))
 	})
-	register("_mm_cmpistrm", func(m *Machine, args []Value) (Value, error) {
-		a, b := argVec(args, 0), argVec(args, 1)
-		var out Vec
+	register("_mm_cmpistrm", func(m *Machine, args []Value, out *Value) error {
+		a, b := &args[0].V, &args[1].V
+		v := vecOut(out)
 		for i := 0; i < 16; i++ {
 			if a.U8(i) == b.U8(i) {
-				out.SetU8(i, 0xFF)
+				v.SetU8(i, 0xFF)
 			}
 		}
-		return vecResult(out)
+		return nil
 	})
-	register("_mm_cmpestri", func(m *Machine, args []Value) (Value, error) {
-		a, b := argVec(args, 0), argVec(args, 2)
+	register("_mm_cmpestri", func(m *Machine, args []Value, out *Value) error {
+		a, b := &args[0].V, &args[2].V
 		la, lb := argInt(args, 1), argInt(args, 3)
 		n := la
 		if lb < n {
@@ -306,13 +304,13 @@ func init() {
 		}
 		for i := 0; i < n; i++ {
 			if a.U8(i) != b.U8(i) {
-				return IntValue(i), nil
+				return scalar(out, IntValue(i))
 			}
 		}
-		return IntValue(n), nil
+		return scalar(out, IntValue(n))
 	})
-	register("_mm_cmpestrm", func(m *Machine, args []Value) (Value, error) {
-		a, b := argVec(args, 0), argVec(args, 2)
+	register("_mm_cmpestrm", func(m *Machine, args []Value, out *Value) error {
+		a, b := &args[0].V, &args[2].V
 		la, lb := argInt(args, 1), argInt(args, 3)
 		n := la
 		if lb < n {
@@ -321,15 +319,12 @@ func init() {
 		if n > 16 {
 			n = 16
 		}
-		var out Vec
+		v := vecOut(out)
 		for i := 0; i < n; i++ {
 			if a.U8(i) == b.U8(i) {
-				out.SetU8(i, 0xFF)
+				v.SetU8(i, 0xFF)
 			}
 		}
-		return vecResult(out)
+		return nil
 	})
-
-	// Approximations used by SVML tests.
-	_ = math.Pi
 }

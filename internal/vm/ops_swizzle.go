@@ -18,10 +18,10 @@ func init() {
 }
 
 // unpack interleaves the low (lo=true) or high half of each 128-bit lane.
-func unpack(bits, elemBytes int, lo bool) func(m *Machine, args []Value) (Value, error) {
-	return func(m *Machine, args []Value) (Value, error) {
-		a, b := argVec(args, 0), argVec(args, 1)
-		var out Vec
+func unpack(bits, elemBytes int, lo bool) func(m *Machine, args []Value, out *Value) error {
+	return func(m *Machine, args []Value, out *Value) error {
+		a, b := &args[0].V, &args[1].V
+		v := vecOut(out)
 		perLane := 16 / elemBytes // elements per 128-bit lane
 		half := perLane / 2
 		for lane := 0; lane < bits/128; lane++ {
@@ -32,12 +32,12 @@ func unpack(bits, elemBytes int, lo bool) func(m *Machine, args []Value) (Value,
 			}
 			for i := 0; i < half; i++ {
 				for k := 0; k < elemBytes; k++ {
-					out.b[(base+2*i)*elemBytes+k] = a.b[(src+i)*elemBytes+k]
-					out.b[(base+2*i+1)*elemBytes+k] = b.b[(src+i)*elemBytes+k]
+					v.b[(base+2*i)*elemBytes+k] = a.b[(src+i)*elemBytes+k]
+					v.b[(base+2*i+1)*elemBytes+k] = b.b[(src+i)*elemBytes+k]
 				}
 			}
 		}
-		return vecResult(out)
+		return nil
 	}
 }
 
@@ -68,62 +68,62 @@ func registerUnpacks() {
 func registerShuffles() {
 	// _mm_shuffle_ps / _mm256_shuffle_ps: two lanes from a, two from b,
 	// selected by imm8, per 128-bit lane.
-	shufPS := func(bits int) func(m *Machine, args []Value) (Value, error) {
-		return func(m *Machine, args []Value) (Value, error) {
-			a, b := argVec(args, 0), argVec(args, 1)
+	shufPS := func(bits int) func(m *Machine, args []Value, out *Value) error {
+		return func(m *Machine, args []Value, out *Value) error {
+			a, b := &args[0].V, &args[1].V
 			imm := argInt(args, 2)
-			var out Vec
+			v := vecOut(out)
 			for lane := 0; lane < bits/128; lane++ {
 				o := lane * 4
-				out.SetF32(o+0, a.F32(o+(imm>>0&3)))
-				out.SetF32(o+1, a.F32(o+(imm>>2&3)))
-				out.SetF32(o+2, b.F32(o+(imm>>4&3)))
-				out.SetF32(o+3, b.F32(o+(imm>>6&3)))
+				v.SetF32(o+0, a.F32(o+(imm>>0&3)))
+				v.SetF32(o+1, a.F32(o+(imm>>2&3)))
+				v.SetF32(o+2, b.F32(o+(imm>>4&3)))
+				v.SetF32(o+3, b.F32(o+(imm>>6&3)))
 			}
-			return vecResult(out)
+			return nil
 		}
 	}
 	register("_mm_shuffle_ps", shufPS(128))
 	register("_mm256_shuffle_ps", shufPS(256))
 
-	shufPD := func(bits int) func(m *Machine, args []Value) (Value, error) {
-		return func(m *Machine, args []Value) (Value, error) {
-			a, b := argVec(args, 0), argVec(args, 1)
+	shufPD := func(bits int) func(m *Machine, args []Value, out *Value) error {
+		return func(m *Machine, args []Value, out *Value) error {
+			a, b := &args[0].V, &args[1].V
 			imm := argInt(args, 2)
-			var out Vec
+			v := vecOut(out)
 			for lane := 0; lane < bits/128; lane++ {
 				o := lane * 2
-				out.SetF64(o+0, a.F64(o+(imm>>(2*lane)&1)))
-				out.SetF64(o+1, b.F64(o+(imm>>(2*lane+1)&1)))
+				v.SetF64(o+0, a.F64(o+(imm>>(2*lane)&1)))
+				v.SetF64(o+1, b.F64(o+(imm>>(2*lane+1)&1)))
 			}
-			return vecResult(out)
+			return nil
 		}
 	}
 	register("_mm_shuffle_pd", shufPD(128))
 	register("_mm256_shuffle_pd", shufPD(256))
 
-	shufEpi32 := func(bits int) func(m *Machine, args []Value) (Value, error) {
-		return func(m *Machine, args []Value) (Value, error) {
-			a := argVec(args, 0)
+	shufEpi32 := func(bits int) func(m *Machine, args []Value, out *Value) error {
+		return func(m *Machine, args []Value, out *Value) error {
+			a := &args[0].V
 			imm := argInt(args, 1)
-			var out Vec
+			v := vecOut(out)
 			for lane := 0; lane < bits/128; lane++ {
 				o := lane * 4
 				for i := 0; i < 4; i++ {
-					out.SetI32(o+i, a.I32(o+(imm>>(2*i)&3)))
+					v.SetI32(o+i, a.I32(o+(imm>>(2*i)&3)))
 				}
 			}
-			return vecResult(out)
+			return nil
 		}
 	}
 	register("_mm_shuffle_epi32", shufEpi32(128))
 	register("_mm256_shuffle_epi32", shufEpi32(256))
 
-	shufHiLo := func(bits int, hi bool) func(m *Machine, args []Value) (Value, error) {
-		return func(m *Machine, args []Value) (Value, error) {
-			a := argVec(args, 0)
+	shufHiLo := func(bits int, hi bool) func(m *Machine, args []Value, out *Value) error {
+		return func(m *Machine, args []Value, out *Value) error {
+			a := &args[0].V
 			imm := argInt(args, 1)
-			out := a
+			v := vecCopy(out, a)
 			for lane := 0; lane < bits/128; lane++ {
 				base := lane * 8
 				off := base
@@ -135,10 +135,10 @@ func registerShuffles() {
 					tmp[i] = a.I16(off + (imm >> (2 * i) & 3))
 				}
 				for i := 0; i < 4; i++ {
-					out.SetI16(off+i, tmp[i])
+					v.SetI16(off+i, tmp[i])
 				}
 			}
-			return vecResult(out)
+			return nil
 		}
 	}
 	register("_mm_shufflehi_epi16", shufHiLo(128, true))
@@ -147,22 +147,22 @@ func registerShuffles() {
 	register("_mm256_shufflelo_epi16", shufHiLo(256, false))
 
 	// pshufb: byte shuffle within each 128-bit lane, high bit zeroes.
-	shufB := func(bits int) func(m *Machine, args []Value) (Value, error) {
-		return func(m *Machine, args []Value) (Value, error) {
-			a, b := argVec(args, 0), argVec(args, 1)
-			var out Vec
+	shufB := func(bits int) func(m *Machine, args []Value, out *Value) error {
+		return func(m *Machine, args []Value, out *Value) error {
+			a, b := &args[0].V, &args[1].V
+			v := vecOut(out)
 			for lane := 0; lane < bits/128; lane++ {
 				o := lane * 16
 				for i := 0; i < 16; i++ {
 					c := b.U8(o + i)
 					if c&0x80 != 0 {
-						out.SetU8(o+i, 0)
+						v.SetU8(o+i, 0)
 					} else {
-						out.SetU8(o+i, a.U8(o+int(c&0x0F)))
+						v.SetU8(o+i, a.U8(o+int(c&0x0F)))
 					}
 				}
 			}
-			return vecResult(out)
+			return nil
 		}
 	}
 	register("_mm_shuffle_epi8", shufB(128))
@@ -170,11 +170,11 @@ func registerShuffles() {
 
 	// alignr: concatenate each 128-bit lane pair and shift right by imm
 	// bytes.
-	alignr := func(bits int) func(m *Machine, args []Value) (Value, error) {
-		return func(m *Machine, args []Value) (Value, error) {
-			a, b := argVec(args, 0), argVec(args, 1)
+	alignr := func(bits int) func(m *Machine, args []Value, out *Value) error {
+		return func(m *Machine, args []Value, out *Value) error {
+			a, b := &args[0].V, &args[1].V
 			imm := argInt(args, 2)
-			var out Vec
+			v := vecOut(out)
 			for lane := 0; lane < bits/128; lane++ {
 				o := lane * 16
 				var concat [32]byte
@@ -183,11 +183,11 @@ func registerShuffles() {
 				for i := 0; i < 16; i++ {
 					idx := i + imm
 					if idx < 32 {
-						out.b[o+i] = concat[idx]
+						v.b[o+i] = concat[idx]
 					}
 				}
 			}
-			return vecResult(out)
+			return nil
 		}
 	}
 	register("_mm_alignr_epi8", alignr(128))
@@ -196,10 +196,10 @@ func registerShuffles() {
 
 func registerPermutes() {
 	// permute2f128 / permute2x128: select 128-bit halves of a:b by imm.
-	perm2 := func(m *Machine, args []Value) (Value, error) {
-		a, b := argVec(args, 0), argVec(args, 1)
+	perm2 := func(m *Machine, args []Value, out *Value) error {
+		a, b := &args[0].V, &args[1].V
 		imm := argInt(args, 2)
-		var out Vec
+		v := vecOut(out)
 		sel := func(ctrl int) []byte {
 			if ctrl&8 != 0 { // zero flag
 				return make([]byte, 16)
@@ -215,9 +215,9 @@ func registerPermutes() {
 				return b.b[16:32]
 			}
 		}
-		copy(out.b[0:16], sel(imm&0xF))
-		copy(out.b[16:32], sel(imm>>4&0xF))
-		return vecResult(out)
+		copy(v.b[0:16], sel(imm&0xF))
+		copy(v.b[16:32], sel(imm>>4&0xF))
+		return nil
 	}
 	register("_mm256_permute2f128_ps", perm2)
 	register("_mm256_permute2f128_pd", perm2)
@@ -225,87 +225,87 @@ func registerPermutes() {
 	register("_mm256_permute2x128_si256", perm2)
 
 	// permute_ps: in-lane permute by imm (like shuffle_epi32 on floats).
-	register("_mm256_permute_ps", func(m *Machine, args []Value) (Value, error) {
-		a := argVec(args, 0)
+	register("_mm256_permute_ps", func(m *Machine, args []Value, out *Value) error {
+		a := &args[0].V
 		imm := argInt(args, 1)
-		var out Vec
+		v := vecOut(out)
 		for lane := 0; lane < 2; lane++ {
 			o := lane * 4
 			for i := 0; i < 4; i++ {
-				out.SetF32(o+i, a.F32(o+(imm>>(2*i)&3)))
+				v.SetF32(o+i, a.F32(o+(imm>>(2*i)&3)))
 			}
 		}
-		return vecResult(out)
+		return nil
 	})
-	register("_mm256_permute_pd", func(m *Machine, args []Value) (Value, error) {
-		a := argVec(args, 0)
+	register("_mm256_permute_pd", func(m *Machine, args []Value, out *Value) error {
+		a := &args[0].V
 		imm := argInt(args, 1)
-		var out Vec
+		v := vecOut(out)
 		for lane := 0; lane < 2; lane++ {
 			o := lane * 2
-			out.SetF64(o+0, a.F64(o+(imm>>(2*lane)&1)))
-			out.SetF64(o+1, a.F64(o+(imm>>(2*lane+1)&1)))
+			v.SetF64(o+0, a.F64(o+(imm>>(2*lane)&1)))
+			v.SetF64(o+1, a.F64(o+(imm>>(2*lane+1)&1)))
 		}
-		return vecResult(out)
+		return nil
 	})
-	register("_mm256_permutevar_ps", func(m *Machine, args []Value) (Value, error) {
-		a, b := argVec(args, 0), argVec(args, 1)
-		var out Vec
+	register("_mm256_permutevar_ps", func(m *Machine, args []Value, out *Value) error {
+		a, b := &args[0].V, &args[1].V
+		v := vecOut(out)
 		for lane := 0; lane < 2; lane++ {
 			o := lane * 4
 			for i := 0; i < 4; i++ {
-				out.SetF32(o+i, a.F32(o+int(b.U32(o+i)&3)))
+				v.SetF32(o+i, a.F32(o+int(b.U32(o+i)&3)))
 			}
 		}
-		return vecResult(out)
+		return nil
 	})
-	register("_mm256_permutevar_pd", func(m *Machine, args []Value) (Value, error) {
-		a, b := argVec(args, 0), argVec(args, 1)
-		var out Vec
+	register("_mm256_permutevar_pd", func(m *Machine, args []Value, out *Value) error {
+		a, b := &args[0].V, &args[1].V
+		v := vecOut(out)
 		for lane := 0; lane < 2; lane++ {
 			o := lane * 2
 			for i := 0; i < 2; i++ {
-				out.SetF64(o+i, a.F64(o+int(b.U64(o+i)>>1&1)))
+				v.SetF64(o+i, a.F64(o+int(b.U64(o+i)>>1&1)))
 			}
 		}
-		return vecResult(out)
+		return nil
 	})
-	register("_mm256_permute4x64_epi64", func(m *Machine, args []Value) (Value, error) {
-		a := argVec(args, 0)
+	register("_mm256_permute4x64_epi64", func(m *Machine, args []Value, out *Value) error {
+		a := &args[0].V
 		imm := argInt(args, 1)
-		var out Vec
+		v := vecOut(out)
 		for i := 0; i < 4; i++ {
-			out.SetI64(i, a.I64(imm>>(2*i)&3))
+			v.SetI64(i, a.I64(imm>>(2*i)&3))
 		}
-		return vecResult(out)
+		return nil
 	})
-	register("_mm256_permute4x64_pd", func(m *Machine, args []Value) (Value, error) {
-		a := argVec(args, 0)
+	register("_mm256_permute4x64_pd", func(m *Machine, args []Value, out *Value) error {
+		a := &args[0].V
 		imm := argInt(args, 1)
-		var out Vec
+		v := vecOut(out)
 		for i := 0; i < 4; i++ {
-			out.SetF64(i, a.F64(imm>>(2*i)&3))
+			v.SetF64(i, a.F64(imm>>(2*i)&3))
 		}
-		return vecResult(out)
+		return nil
 	})
-	permVar8x32 := func(m *Machine, args []Value) (Value, error) {
-		a, idx := argVec(args, 0), argVec(args, 1)
-		var out Vec
+	permVar8x32 := func(m *Machine, args []Value, out *Value) error {
+		a, idx := &args[0].V, &args[1].V
+		v := vecOut(out)
 		for i := 0; i < 8; i++ {
-			out.SetU32(i, a.U32(int(idx.U32(i)&7)))
+			v.SetU32(i, a.U32(int(idx.U32(i)&7)))
 		}
-		return vecResult(out)
+		return nil
 	}
 	register("_mm256_permutevar8x32_epi32", permVar8x32)
 	register("_mm256_permutevar8x32_ps", permVar8x32)
 }
 
 func registerBlends() {
-	blendImm := func(bits, elemBytes int) func(m *Machine, args []Value) (Value, error) {
-		return func(m *Machine, args []Value) (Value, error) {
-			a, b := argVec(args, 0), argVec(args, 1)
+	blendImm := func(bits, elemBytes int) func(m *Machine, args []Value, out *Value) error {
+		return func(m *Machine, args []Value, out *Value) error {
+			a, b := &args[0].V, &args[1].V
 			imm := argInt(args, 2)
-			out := a
+			v := vecCopy(out, a)
 			n := bits / (8 * elemBytes)
 			for i := 0; i < n; i++ {
 				// 16-bit blends repeat the immediate per 128-bit lane.
@@ -315,11 +315,11 @@ func registerBlends() {
 				}
 				if imm>>(bit)&1 == 1 {
 					for k := 0; k < elemBytes; k++ {
-						out.b[i*elemBytes+k] = b.b[i*elemBytes+k]
+						v.b[i*elemBytes+k] = b.b[i*elemBytes+k]
 					}
 				}
 			}
-			return vecResult(out)
+			return nil
 		}
 	}
 	register("_mm_blend_ps", blendImm(128, 4))
@@ -329,20 +329,20 @@ func registerBlends() {
 	register("_mm256_blend_epi16", blendImm(256, 2))
 	register("_mm256_blend_epi32", blendImm(256, 4))
 
-	blendvByte := func(bits, elemBytes int) func(m *Machine, args []Value) (Value, error) {
-		return func(m *Machine, args []Value) (Value, error) {
-			a, b, mask := argVec(args, 0), argVec(args, 1), argVec(args, 2)
-			out := a
+	blendvByte := func(bits, elemBytes int) func(m *Machine, args []Value, out *Value) error {
+		return func(m *Machine, args []Value, out *Value) error {
+			a, b, mask := &args[0].V, &args[1].V, &args[2].V
+			v := vecCopy(out, a)
 			n := bits / (8 * elemBytes)
 			for i := 0; i < n; i++ {
 				// Select on the sign bit of the mask element.
 				if mask.b[(i+1)*elemBytes-1]&0x80 != 0 {
 					for k := 0; k < elemBytes; k++ {
-						out.b[i*elemBytes+k] = b.b[i*elemBytes+k]
+						v.b[i*elemBytes+k] = b.b[i*elemBytes+k]
 					}
 				}
 			}
-			return vecResult(out)
+			return nil
 		}
 	}
 	register("_mm_blendv_ps", blendvByte(128, 4))
@@ -354,13 +354,13 @@ func registerBlends() {
 }
 
 func registerByteShifts() {
-	byteShift := func(bits int, left bool) func(m *Machine, args []Value) (Value, error) {
-		return func(m *Machine, args []Value) (Value, error) {
-			a := argVec(args, 0)
+	byteShift := func(bits int, left bool) func(m *Machine, args []Value, out *Value) error {
+		return func(m *Machine, args []Value, out *Value) error {
+			a := &args[0].V
 			imm := argInt(args, 1)
-			var out Vec
+			v := vecOut(out)
 			if imm > 15 {
-				return vecResult(out)
+				return nil
 			}
 			for lane := 0; lane < bits/128; lane++ {
 				o := lane * 16
@@ -372,11 +372,11 @@ func registerByteShifts() {
 						src = i + imm
 					}
 					if src >= 0 && src < 16 {
-						out.b[o+i] = a.b[o+src]
+						v.b[o+i] = a.b[o+src]
 					}
 				}
 			}
-			return vecResult(out)
+			return nil
 		}
 	}
 	register("_mm_slli_si128", byteShift(128, true))
@@ -392,57 +392,60 @@ func registerInsertExtract() {
 	register("_mm256_insertf128_ps", insert128)
 	register("_mm256_insertf128_pd", insert128)
 	register("_mm256_insertf128_si256", insert128)
-	register("_mm_extract_epi32", func(m *Machine, args []Value) (Value, error) {
-		return IntValue(int(args[0].V.I32(argInt(args, 1) & 3))), nil
+	register("_mm_extract_epi32", func(m *Machine, args []Value, out *Value) error {
+		return scalar(out, IntValue(int(args[0].V.I32(argInt(args, 1)&3))))
 	})
-	register("_mm_extract_epi8", func(m *Machine, args []Value) (Value, error) {
-		return IntValue(int(args[0].V.U8(argInt(args, 1) & 15))), nil
+	register("_mm_extract_epi8", func(m *Machine, args []Value, out *Value) error {
+		return scalar(out, IntValue(int(args[0].V.U8(argInt(args, 1)&15))))
 	})
-	register("_mm_insert_epi32", func(m *Machine, args []Value) (Value, error) {
-		out := argVec(args, 0)
-		out.SetI32(argInt(args, 2)&3, int32(args[1].AsInt()))
-		return vecResult(out)
+	register("_mm_insert_epi32", func(m *Machine, args []Value, out *Value) error {
+		v := vecCopy(out, &args[0].V)
+		v.SetI32(argInt(args, 2)&3, int32(args[1].AsInt()))
+		return nil
 	})
-	register("_mm_minpos_epu16", func(m *Machine, args []Value) (Value, error) {
-		a := argVec(args, 0)
+	register("_mm_minpos_epu16", func(m *Machine, args []Value, out *Value) error {
+		a := &args[0].V
 		minv, mini := a.U16(0), 0
 		for i := 1; i < 8; i++ {
 			if a.U16(i) < minv {
 				minv, mini = a.U16(i), i
 			}
 		}
-		var out Vec
-		out.SetU16(0, minv)
-		out.SetU16(1, uint16(mini))
-		return vecResult(out)
+		v := vecOut(out)
+		v.SetU16(0, minv)
+		v.SetU16(1, uint16(mini))
+		return nil
 	})
 }
 
-func extract128(m *Machine, args []Value) (Value, error) {
-	a := argVec(args, 0)
+func extract128(m *Machine, args []Value, out *Value) error {
+	a := &args[0].V
 	imm := argInt(args, 1)
-	var out Vec
+	v := vecOut(out)
 	if imm&1 == 1 {
-		copy(out.b[:16], a.b[16:32])
+		copy(v.b[:16], a.b[16:32])
 	} else {
-		copy(out.b[:16], a.b[:16])
+		copy(v.b[:16], a.b[:16])
 	}
-	return vecResult(out)
+	return nil
 }
 
-func insert128(m *Machine, args []Value) (Value, error) {
-	out := argVec(args, 0)
-	b := argVec(args, 1)
+func insert128(m *Machine, args []Value, out *Value) error {
+	v := vecCopy(out, &args[0].V)
+	b := &args[1].V
 	if argInt(args, 2)&1 == 1 {
-		copy(out.b[16:32], b.b[:16])
+		copy(v.b[16:32], b.b[:16])
 	} else {
-		copy(out.b[:16], b.b[:16])
+		copy(v.b[:16], b.b[:16])
 	}
-	return vecResult(out)
+	return nil
 }
 
 func registerSets() {
-	setzero := func(m *Machine, args []Value) (Value, error) { return vecResult(Vec{}) }
+	setzero := func(m *Machine, args []Value, out *Value) error {
+		vecOut(out)
+		return nil
+	}
 	for _, n := range []string{
 		"_mm_setzero_ps", "_mm_setzero_pd", "_mm_setzero_si128", "_mm_setzero_si64",
 		"_mm256_setzero_ps", "_mm256_setzero_pd", "_mm256_setzero_si256",
@@ -451,43 +454,43 @@ func registerSets() {
 		register(n, setzero)
 	}
 
-	set1F32 := func(bits int) func(m *Machine, args []Value) (Value, error) {
-		return func(m *Machine, args []Value) (Value, error) {
+	set1F32 := func(bits int) func(m *Machine, args []Value, out *Value) error {
+		return func(m *Machine, args []Value, out *Value) error {
 			x := float32(args[0].AsFloat())
-			var out Vec
+			v := vecOut(out)
 			for i := 0; i < bits/32; i++ {
-				out.SetF32(i, x)
+				v.SetF32(i, x)
 			}
-			return vecResult(out)
+			return nil
 		}
 	}
-	set1F64 := func(bits int) func(m *Machine, args []Value) (Value, error) {
-		return func(m *Machine, args []Value) (Value, error) {
+	set1F64 := func(bits int) func(m *Machine, args []Value, out *Value) error {
+		return func(m *Machine, args []Value, out *Value) error {
 			x := args[0].AsFloat()
-			var out Vec
+			v := vecOut(out)
 			for i := 0; i < bits/64; i++ {
-				out.SetF64(i, x)
+				v.SetF64(i, x)
 			}
-			return vecResult(out)
+			return nil
 		}
 	}
-	set1Int := func(bits, elemBits int) func(m *Machine, args []Value) (Value, error) {
-		return func(m *Machine, args []Value) (Value, error) {
+	set1Int := func(bits, elemBits int) func(m *Machine, args []Value, out *Value) error {
+		return func(m *Machine, args []Value, out *Value) error {
 			x := args[0].AsInt()
-			var out Vec
+			v := vecOut(out)
 			for i := 0; i < bits/elemBits; i++ {
 				switch elemBits {
 				case 8:
-					out.SetI8(i, int8(x))
+					v.SetI8(i, int8(x))
 				case 16:
-					out.SetI16(i, int16(x))
+					v.SetI16(i, int16(x))
 				case 32:
-					out.SetI32(i, int32(x))
+					v.SetI32(i, int32(x))
 				default:
-					out.SetI64(i, x)
+					v.SetI64(i, x)
 				}
 			}
-			return vecResult(out)
+			return nil
 		}
 	}
 	register("_mm_set1_ps", set1F32(128))
@@ -509,71 +512,71 @@ func registerSets() {
 	register("_mm_set1_pi32", set1Int(64, 32))
 
 	// set_ps takes arguments high-lane first (Intel convention).
-	register("_mm_set_ps", func(m *Machine, args []Value) (Value, error) {
-		var out Vec
+	register("_mm_set_ps", func(m *Machine, args []Value, out *Value) error {
+		v := vecOut(out)
 		for i := 0; i < 4; i++ {
-			out.SetF32(3-i, float32(args[i].AsFloat()))
+			v.SetF32(3-i, float32(args[i].AsFloat()))
 		}
-		return vecResult(out)
+		return nil
 	})
-	register("_mm256_set_ps", func(m *Machine, args []Value) (Value, error) {
-		var out Vec
+	register("_mm256_set_ps", func(m *Machine, args []Value, out *Value) error {
+		v := vecOut(out)
 		for i := 0; i < 8; i++ {
-			out.SetF32(7-i, float32(args[i].AsFloat()))
+			v.SetF32(7-i, float32(args[i].AsFloat()))
 		}
-		return vecResult(out)
+		return nil
 	})
-	register("_mm_set_pd", func(m *Machine, args []Value) (Value, error) {
-		var out Vec
-		out.SetF64(1, args[0].AsFloat())
-		out.SetF64(0, args[1].AsFloat())
-		return vecResult(out)
+	register("_mm_set_pd", func(m *Machine, args []Value, out *Value) error {
+		v := vecOut(out)
+		v.SetF64(1, args[0].AsFloat())
+		v.SetF64(0, args[1].AsFloat())
+		return nil
 	})
-	register("_mm256_set_pd", func(m *Machine, args []Value) (Value, error) {
-		var out Vec
+	register("_mm256_set_pd", func(m *Machine, args []Value, out *Value) error {
+		v := vecOut(out)
 		for i := 0; i < 4; i++ {
-			out.SetF64(3-i, args[i].AsFloat())
+			v.SetF64(3-i, args[i].AsFloat())
 		}
-		return vecResult(out)
+		return nil
 	})
-	register("_mm_set_ss", func(m *Machine, args []Value) (Value, error) {
-		var out Vec
-		out.SetF32(0, float32(args[0].AsFloat()))
-		return vecResult(out)
+	register("_mm_set_ss", func(m *Machine, args []Value, out *Value) error {
+		v := vecOut(out)
+		v.SetF32(0, float32(args[0].AsFloat()))
+		return nil
 	})
 }
 
 func registerBroadcasts() {
-	register("_mm256_broadcastss_ps", func(m *Machine, args []Value) (Value, error) {
+	register("_mm256_broadcastss_ps", func(m *Machine, args []Value, out *Value) error {
 		x := args[0].V.F32(0)
-		var out Vec
+		v := vecOut(out)
 		for i := 0; i < 8; i++ {
-			out.SetF32(i, x)
+			v.SetF32(i, x)
 		}
-		return vecResult(out)
+		return nil
 	})
-	register("_mm256_broadcastsi128_si256", func(m *Machine, args []Value) (Value, error) {
-		a := argVec(args, 0)
-		var out Vec
-		copy(out.b[:16], a.b[:16])
-		copy(out.b[16:32], a.b[:16])
-		return vecResult(out)
+	register("_mm256_broadcastsi128_si256", func(m *Machine, args []Value, out *Value) error {
+		a := &args[0].V
+		v := vecOut(out)
+		copy(v.b[:16], a.b[:16])
+		copy(v.b[16:32], a.b[:16])
+		return nil
 	})
-	bcastInt := func(elemBits int) func(m *Machine, args []Value) (Value, error) {
-		return func(m *Machine, args []Value) (Value, error) {
-			a := argVec(args, 0)
-			var out Vec
+	bcastInt := func(elemBits int) func(m *Machine, args []Value, out *Value) error {
+		return func(m *Machine, args []Value, out *Value) error {
+			a := &args[0].V
+			v := vecOut(out)
 			for i := 0; i < 256/elemBits; i++ {
 				switch elemBits {
 				case 8:
-					out.SetI8(i, a.I8(0))
+					v.SetI8(i, a.I8(0))
 				case 16:
-					out.SetI16(i, a.I16(0))
+					v.SetI16(i, a.I16(0))
 				default:
-					out.SetI32(i, a.I32(0))
+					v.SetI32(i, a.I32(0))
 				}
 			}
-			return vecResult(out)
+			return nil
 		}
 	}
 	register("_mm256_broadcastb_epi8", bcastInt(8))
@@ -582,108 +585,96 @@ func registerBroadcasts() {
 }
 
 func registerVariableShifts() {
-	register("_mm256_sllv_epi32", func(m *Machine, args []Value) (Value, error) {
-		return vecResult(mapU32(256, argVec(args, 0), argVec(args, 1),
-			func(x, c uint32) uint32 {
-				if c > 31 {
-					return 0
-				}
-				return x << c
-			}))
+	regLanes("_mm256_sllv_epi32", mapU32, func(x, c uint32) uint32 {
+		if c > 31 {
+			return 0
+		}
+		return x << c
 	})
-	register("_mm256_srlv_epi32", func(m *Machine, args []Value) (Value, error) {
-		return vecResult(mapU32(256, argVec(args, 0), argVec(args, 1),
-			func(x, c uint32) uint32 {
-				if c > 31 {
-					return 0
-				}
-				return x >> c
-			}))
+	regLanes("_mm256_srlv_epi32", mapU32, func(x, c uint32) uint32 {
+		if c > 31 {
+			return 0
+		}
+		return x >> c
 	})
-	register("_mm256_srav_epi32", func(m *Machine, args []Value) (Value, error) {
-		a, c := argVec(args, 0), argVec(args, 1)
-		var out Vec
+	register("_mm256_srav_epi32", func(m *Machine, args []Value, out *Value) error {
+		a, c := &args[0].V, &args[1].V
+		v := vecOut(out)
 		for i := 0; i < 8; i++ {
 			sh := c.U32(i)
 			if sh > 31 {
 				sh = 31
 			}
-			out.SetI32(i, a.I32(i)>>sh)
+			v.SetI32(i, a.I32(i)>>sh)
 		}
-		return vecResult(out)
+		return nil
 	})
-	register("_mm256_sllv_epi64", func(m *Machine, args []Value) (Value, error) {
-		return vecResult(mapU64(256, argVec(args, 0), argVec(args, 1),
-			func(x, c uint64) uint64 {
-				if c > 63 {
-					return 0
-				}
-				return x << c
-			}))
+	regLanes("_mm256_sllv_epi64", mapU64, func(x, c uint64) uint64 {
+		if c > 63 {
+			return 0
+		}
+		return x << c
 	})
-	register("_mm256_srlv_epi64", func(m *Machine, args []Value) (Value, error) {
-		return vecResult(mapU64(256, argVec(args, 0), argVec(args, 1),
-			func(x, c uint64) uint64 {
-				if c > 63 {
-					return 0
-				}
-				return x >> c
-			}))
+	regLanes("_mm256_srlv_epi64", mapU64, func(x, c uint64) uint64 {
+		if c > 63 {
+			return 0
+		}
+		return x >> c
 	})
-	register("_mm512_rol_epi32", func(m *Machine, args []Value) (Value, error) {
+	register("_mm512_rol_epi32", func(m *Machine, args []Value, out *Value) error {
 		imm := uint(argInt(args, 1)) & 31
-		a := argVec(args, 0)
-		var out Vec
+		a := &args[0].V
+		v := vecOut(out)
 		for i := 0; i < 16; i++ {
 			x := a.U32(i)
-			out.SetU32(i, x<<imm|x>>(32-imm))
+			v.SetU32(i, x<<imm|x>>(32-imm))
 		}
-		return vecResult(out)
+		return nil
 	})
 }
 
 func registerMoves() {
-	register("_mm_movehl_ps", func(m *Machine, args []Value) (Value, error) {
-		a, b := argVec(args, 0), argVec(args, 1)
-		var out Vec
-		out.SetF32(0, b.F32(2))
-		out.SetF32(1, b.F32(3))
-		out.SetF32(2, a.F32(2))
-		out.SetF32(3, a.F32(3))
-		return vecResult(out)
+	register("_mm_movehl_ps", func(m *Machine, args []Value, out *Value) error {
+		a, b := &args[0].V, &args[1].V
+		v := vecOut(out)
+		v.SetF32(0, b.F32(2))
+		v.SetF32(1, b.F32(3))
+		v.SetF32(2, a.F32(2))
+		v.SetF32(3, a.F32(3))
+		return nil
 	})
-	register("_mm_movelh_ps", func(m *Machine, args []Value) (Value, error) {
-		a, b := argVec(args, 0), argVec(args, 1)
-		var out Vec
-		out.SetF32(0, a.F32(0))
-		out.SetF32(1, a.F32(1))
-		out.SetF32(2, b.F32(0))
-		out.SetF32(3, b.F32(1))
-		return vecResult(out)
+	register("_mm_movelh_ps", func(m *Machine, args []Value, out *Value) error {
+		a, b := &args[0].V, &args[1].V
+		v := vecOut(out)
+		v.SetF32(0, a.F32(0))
+		v.SetF32(1, a.F32(1))
+		v.SetF32(2, b.F32(0))
+		v.SetF32(3, b.F32(1))
+		return nil
 	})
-	register("_mm_movehdup_ps", func(m *Machine, args []Value) (Value, error) {
-		a := argVec(args, 0)
-		var out Vec
+	register("_mm_movehdup_ps", func(m *Machine, args []Value, out *Value) error {
+		a := &args[0].V
+		v := vecOut(out)
 		for i := 0; i < 2; i++ {
-			out.SetF32(2*i, a.F32(2*i+1))
-			out.SetF32(2*i+1, a.F32(2*i+1))
+			v.SetF32(2*i, a.F32(2*i+1))
+			v.SetF32(2*i+1, a.F32(2*i+1))
 		}
-		return vecResult(out)
+		return nil
 	})
-	register("_mm_moveldup_ps", func(m *Machine, args []Value) (Value, error) {
-		a := argVec(args, 0)
-		var out Vec
+	register("_mm_moveldup_ps", func(m *Machine, args []Value, out *Value) error {
+		a := &args[0].V
+		v := vecOut(out)
 		for i := 0; i < 2; i++ {
-			out.SetF32(2*i, a.F32(2*i))
-			out.SetF32(2*i+1, a.F32(2*i))
+			v.SetF32(2*i, a.F32(2*i))
+			v.SetF32(2*i+1, a.F32(2*i))
 		}
-		return vecResult(out)
+		return nil
 	})
-	register("_mm_movedup_pd", func(m *Machine, args []Value) (Value, error) {
-		a := argVec(args, 0)
-		var out Vec
-		out.SetF64(0, a.F64(0))
-		out.SetF64(1, a.F64(0))
-		return vecResult(out)
+	register("_mm_movedup_pd", func(m *Machine, args []Value, out *Value) error {
+		a := &args[0].V
+		v := vecOut(out)
+		v.SetF64(0, a.F64(0))
+		v.SetF64(1, a.F64(0))
+		return nil
 	})
 }

@@ -50,33 +50,21 @@ func (b *Buffer) check(off, n int) error {
 	return nil
 }
 
-// LoadVec reads `bytes` bytes at element offset elemOff into a register.
-func (b *Buffer) LoadVec(elemOff, bytes int) (Vec, error) {
-	off := elemOff * b.Prim.Bits() / 8
-	if err := b.check(off, bytes); err != nil {
-		return Vec{}, err
-	}
-	return VecFromBytes(b.Data[off : off+bytes]), nil
-}
-
-// LoadVecInto reads `bytes` bytes at element offset elemOff into a
-// caller-provided register, zeroing the upper bytes — the
-// destination-passing variant of LoadVec.
-func (b *Buffer) LoadVecInto(elemOff, bytes int, v *Vec) error {
+// LoadVec reads `bytes` bytes at element offset elemOff into register
+// v, zeroing its upper bytes.
+func (b *Buffer) LoadVec(elemOff, bytes int, v *Vec) error {
 	off := elemOff * b.Prim.Bits() / 8
 	if err := b.check(off, bytes); err != nil {
 		return err
 	}
 	n := copy(v.b[:], b.Data[off:off+bytes])
-	for i := n; i < len(v.b); i++ {
-		v.b[i] = 0
-	}
+	clear(v.b[n:])
 	return nil
 }
 
 // StoreVec writes the low `bytes` bytes of a register at element offset
 // elemOff.
-func (b *Buffer) StoreVec(elemOff int, v Vec, bytes int) error {
+func (b *Buffer) StoreVec(elemOff int, v *Vec, bytes int) error {
 	off := elemOff * b.Prim.Bits() / 8
 	if err := b.check(off, bytes); err != nil {
 		return err
@@ -352,8 +340,10 @@ func PtrValue(b *Buffer, off int) Value {
 	return Value{Kind: ir.KindPtr, Mem: b, Off: off}
 }
 
-// AsInt returns the scalar numeric value as int64.
-func (v Value) AsInt() int64 {
+// AsInt returns the scalar numeric value as int64. AsInt and AsFloat
+// take a pointer receiver so reading an operand never copies the whole
+// 120-byte Value.
+func (v *Value) AsInt() int64 {
 	switch v.Kind {
 	case ir.KindBool:
 		if v.B {
@@ -370,7 +360,7 @@ func (v Value) AsInt() int64 {
 }
 
 // AsFloat returns the scalar numeric value as float64.
-func (v Value) AsFloat() float64 {
+func (v *Value) AsFloat() float64 {
 	switch v.Kind {
 	case ir.KindF32, ir.KindF64:
 		return v.F

@@ -9,7 +9,8 @@ import (
 // Vec is one SIMD register value. The array always holds 64 bytes; the
 // register's logical width (64/128/256/512 bits) is a property of the
 // value's type, not of the storage. Lanes are little-endian, matching
-// x86.
+// x86. Lane getters take a pointer receiver, so reading one lane never
+// copies the 64-byte register.
 type Vec struct {
 	b [64]byte
 }
@@ -60,7 +61,7 @@ func VecFromBytesErr(p []byte) (Vec, error) {
 // --- 32-bit float lanes ----------------------------------------------------
 
 // F32 returns lane i viewed as float32.
-func (v Vec) F32(i int) float32 {
+func (v *Vec) F32(i int) float32 {
 	return math.Float32frombits(binary.LittleEndian.Uint32(v.b[i*4:]))
 }
 
@@ -72,7 +73,7 @@ func (v *Vec) SetF32(i int, x float32) {
 // --- 64-bit float lanes ----------------------------------------------------
 
 // F64 returns lane i viewed as float64.
-func (v Vec) F64(i int) float64 {
+func (v *Vec) F64(i int) float64 {
 	return math.Float64frombits(binary.LittleEndian.Uint64(v.b[i*8:]))
 }
 
@@ -84,19 +85,19 @@ func (v *Vec) SetF64(i int, x float64) {
 // --- integer lanes -----------------------------------------------------------
 
 // I8 returns lane i viewed as int8.
-func (v Vec) I8(i int) int8 { return int8(v.b[i]) }
+func (v *Vec) I8(i int) int8 { return int8(v.b[i]) }
 
 // SetI8 stores an int8 into lane i.
 func (v *Vec) SetI8(i int, x int8) { v.b[i] = byte(x) }
 
 // U8 returns lane i viewed as uint8.
-func (v Vec) U8(i int) uint8 { return v.b[i] }
+func (v *Vec) U8(i int) uint8 { return v.b[i] }
 
 // SetU8 stores a uint8 into lane i.
 func (v *Vec) SetU8(i int, x uint8) { v.b[i] = x }
 
 // I16 returns lane i viewed as int16.
-func (v Vec) I16(i int) int16 {
+func (v *Vec) I16(i int) int16 {
 	return int16(binary.LittleEndian.Uint16(v.b[i*2:]))
 }
 
@@ -106,7 +107,7 @@ func (v *Vec) SetI16(i int, x int16) {
 }
 
 // U16 returns lane i viewed as uint16.
-func (v Vec) U16(i int) uint16 { return binary.LittleEndian.Uint16(v.b[i*2:]) }
+func (v *Vec) U16(i int) uint16 { return binary.LittleEndian.Uint16(v.b[i*2:]) }
 
 // SetU16 stores a uint16 into lane i.
 func (v *Vec) SetU16(i int, x uint16) {
@@ -114,7 +115,7 @@ func (v *Vec) SetU16(i int, x uint16) {
 }
 
 // I32 returns lane i viewed as int32.
-func (v Vec) I32(i int) int32 {
+func (v *Vec) I32(i int) int32 {
 	return int32(binary.LittleEndian.Uint32(v.b[i*4:]))
 }
 
@@ -124,7 +125,7 @@ func (v *Vec) SetI32(i int, x int32) {
 }
 
 // U32 returns lane i viewed as uint32.
-func (v Vec) U32(i int) uint32 { return binary.LittleEndian.Uint32(v.b[i*4:]) }
+func (v *Vec) U32(i int) uint32 { return binary.LittleEndian.Uint32(v.b[i*4:]) }
 
 // SetU32 stores a uint32 into lane i.
 func (v *Vec) SetU32(i int, x uint32) {
@@ -132,7 +133,7 @@ func (v *Vec) SetU32(i int, x uint32) {
 }
 
 // I64 returns lane i viewed as int64.
-func (v Vec) I64(i int) int64 {
+func (v *Vec) I64(i int) int64 {
 	return int64(binary.LittleEndian.Uint64(v.b[i*8:]))
 }
 
@@ -142,7 +143,7 @@ func (v *Vec) SetI64(i int, x int64) {
 }
 
 // U64 returns lane i viewed as uint64.
-func (v Vec) U64(i int) uint64 { return binary.LittleEndian.Uint64(v.b[i*8:]) }
+func (v *Vec) U64(i int) uint64 { return binary.LittleEndian.Uint64(v.b[i*8:]) }
 
 // SetU64 stores a uint64 into lane i.
 func (v *Vec) SetU64(i int, x uint64) {
@@ -156,167 +157,111 @@ func (v Vec) String() string {
 
 // --- lanewise combinators ----------------------------------------------------
 //
-// Each family has an in-place variant (xxxInto) that writes lanes into a
-// caller-provided register, and an allocating wrapper kept for the
-// registration tables. out may alias a or b: every lane is fully read
-// before it is written.
+// Each combinator is the body of a lanewise intrinsic: it reads the
+// operand registers in place and writes the result lanes into out, which
+// never aliases args. Lanes above bits are zero.
 
-func mapF32Into(bits int, a, b Vec, out *Vec, f func(x, y float32) float32) {
+func mapF32(bits int, args []Value, out *Value, f func(x, y float32) float32) {
+	a, b, v := &args[0].V, &args[1].V, vecOut(out)
 	for i := 0; i < bits/32; i++ {
-		out.SetF32(i, f(a.F32(i), b.F32(i)))
+		v.SetF32(i, f(a.F32(i), b.F32(i)))
 	}
 }
 
-func mapF32(bits int, a, b Vec, f func(x, y float32) float32) Vec {
-	var out Vec
-	mapF32Into(bits, a, b, &out, f)
-	return out
-}
-
-func map1F32Into(bits int, a Vec, out *Vec, f func(x float32) float32) {
+func map1F32(bits int, args []Value, out *Value, f func(x float32) float32) {
+	a, v := &args[0].V, vecOut(out)
 	for i := 0; i < bits/32; i++ {
-		out.SetF32(i, f(a.F32(i)))
+		v.SetF32(i, f(a.F32(i)))
 	}
 }
 
-func map1F32(bits int, a Vec, f func(x float32) float32) Vec {
-	var out Vec
-	map1F32Into(bits, a, &out, f)
-	return out
-}
-
-func mapF64Into(bits int, a, b Vec, out *Vec, f func(x, y float64) float64) {
+func mapF64(bits int, args []Value, out *Value, f func(x, y float64) float64) {
+	a, b, v := &args[0].V, &args[1].V, vecOut(out)
 	for i := 0; i < bits/64; i++ {
-		out.SetF64(i, f(a.F64(i), b.F64(i)))
+		v.SetF64(i, f(a.F64(i), b.F64(i)))
 	}
 }
 
-func mapF64(bits int, a, b Vec, f func(x, y float64) float64) Vec {
-	var out Vec
-	mapF64Into(bits, a, b, &out, f)
-	return out
-}
-
-func map1F64Into(bits int, a Vec, out *Vec, f func(x float64) float64) {
+func map1F64(bits int, args []Value, out *Value, f func(x float64) float64) {
+	a, v := &args[0].V, vecOut(out)
 	for i := 0; i < bits/64; i++ {
-		out.SetF64(i, f(a.F64(i)))
+		v.SetF64(i, f(a.F64(i)))
 	}
 }
 
-func map1F64(bits int, a Vec, f func(x float64) float64) Vec {
-	var out Vec
-	map1F64Into(bits, a, &out, f)
-	return out
-}
-
-func mapI8Into(bits int, a, b Vec, out *Vec, f func(x, y int8) int8) {
+func mapI8(bits int, args []Value, out *Value, f func(x, y int8) int8) {
+	a, b, v := &args[0].V, &args[1].V, vecOut(out)
 	for i := 0; i < bits/8; i++ {
-		out.SetI8(i, f(a.I8(i), b.I8(i)))
+		v.SetI8(i, f(a.I8(i), b.I8(i)))
 	}
 }
 
-func mapI8(bits int, a, b Vec, f func(x, y int8) int8) Vec {
-	var out Vec
-	mapI8Into(bits, a, b, &out, f)
-	return out
-}
-
-func mapU8Into(bits int, a, b Vec, out *Vec, f func(x, y uint8) uint8) {
+func mapU8(bits int, args []Value, out *Value, f func(x, y uint8) uint8) {
+	a, b, v := &args[0].V, &args[1].V, vecOut(out)
 	for i := 0; i < bits/8; i++ {
-		out.SetU8(i, f(a.U8(i), b.U8(i)))
+		v.SetU8(i, f(a.U8(i), b.U8(i)))
 	}
 }
 
-func mapU8(bits int, a, b Vec, f func(x, y uint8) uint8) Vec {
-	var out Vec
-	mapU8Into(bits, a, b, &out, f)
-	return out
-}
-
-func mapI16Into(bits int, a, b Vec, out *Vec, f func(x, y int16) int16) {
+func mapI16(bits int, args []Value, out *Value, f func(x, y int16) int16) {
+	a, b, v := &args[0].V, &args[1].V, vecOut(out)
 	for i := 0; i < bits/16; i++ {
-		out.SetI16(i, f(a.I16(i), b.I16(i)))
+		v.SetI16(i, f(a.I16(i), b.I16(i)))
 	}
 }
 
-func mapI16(bits int, a, b Vec, f func(x, y int16) int16) Vec {
-	var out Vec
-	mapI16Into(bits, a, b, &out, f)
-	return out
-}
-
-func mapU16Into(bits int, a, b Vec, out *Vec, f func(x, y uint16) uint16) {
+func mapU16(bits int, args []Value, out *Value, f func(x, y uint16) uint16) {
+	a, b, v := &args[0].V, &args[1].V, vecOut(out)
 	for i := 0; i < bits/16; i++ {
-		out.SetU16(i, f(a.U16(i), b.U16(i)))
+		v.SetU16(i, f(a.U16(i), b.U16(i)))
 	}
 }
 
-func mapU16(bits int, a, b Vec, f func(x, y uint16) uint16) Vec {
-	var out Vec
-	mapU16Into(bits, a, b, &out, f)
-	return out
-}
-
-func mapI32Into(bits int, a, b Vec, out *Vec, f func(x, y int32) int32) {
+func mapI32(bits int, args []Value, out *Value, f func(x, y int32) int32) {
+	a, b, v := &args[0].V, &args[1].V, vecOut(out)
 	for i := 0; i < bits/32; i++ {
-		out.SetI32(i, f(a.I32(i), b.I32(i)))
+		v.SetI32(i, f(a.I32(i), b.I32(i)))
 	}
 }
 
-func mapI32(bits int, a, b Vec, f func(x, y int32) int32) Vec {
-	var out Vec
-	mapI32Into(bits, a, b, &out, f)
-	return out
-}
-
-func mapU32Into(bits int, a, b Vec, out *Vec, f func(x, y uint32) uint32) {
+func mapU32(bits int, args []Value, out *Value, f func(x, y uint32) uint32) {
+	a, b, v := &args[0].V, &args[1].V, vecOut(out)
 	for i := 0; i < bits/32; i++ {
-		out.SetU32(i, f(a.U32(i), b.U32(i)))
+		v.SetU32(i, f(a.U32(i), b.U32(i)))
 	}
 }
 
-func mapU32(bits int, a, b Vec, f func(x, y uint32) uint32) Vec {
-	var out Vec
-	mapU32Into(bits, a, b, &out, f)
-	return out
-}
-
-func mapI64Into(bits int, a, b Vec, out *Vec, f func(x, y int64) int64) {
+func mapI64(bits int, args []Value, out *Value, f func(x, y int64) int64) {
+	a, b, v := &args[0].V, &args[1].V, vecOut(out)
 	for i := 0; i < bits/64; i++ {
-		out.SetI64(i, f(a.I64(i), b.I64(i)))
+		v.SetI64(i, f(a.I64(i), b.I64(i)))
 	}
 }
 
-func mapI64(bits int, a, b Vec, f func(x, y int64) int64) Vec {
-	var out Vec
-	mapI64Into(bits, a, b, &out, f)
-	return out
-}
-
-func mapU64Into(bits int, a, b Vec, out *Vec, f func(x, y uint64) uint64) {
+func mapU64(bits int, args []Value, out *Value, f func(x, y uint64) uint64) {
+	a, b, v := &args[0].V, &args[1].V, vecOut(out)
 	for i := 0; i < bits/64; i++ {
-		out.SetU64(i, f(a.U64(i), b.U64(i)))
+		v.SetU64(i, f(a.U64(i), b.U64(i)))
 	}
 }
 
-func mapU64(bits int, a, b Vec, f func(x, y uint64) uint64) Vec {
-	var out Vec
-	mapU64Into(bits, a, b, &out, f)
-	return out
-}
-
-// bitwiseInto applies f to the register byte-by-byte (logical ops are
-// width- and element-type-agnostic), writing into out.
-func bitwiseInto(bits int, a, b Vec, out *Vec, f func(x, y byte) byte) {
+// bitwise applies f to the register byte by byte (logical ops are
+// width- and element-type-agnostic).
+func bitwise(bits int, args []Value, out *Value, f func(x, y byte) byte) {
+	a, b, v := &args[0].V, &args[1].V, vecOut(out)
 	for i := 0; i < bits/8; i++ {
-		out.b[i] = f(a.b[i], b.b[i])
+		v.b[i] = f(a.b[i], b.b[i])
 	}
 }
 
-func bitwise(bits int, a, b Vec, f func(x, y byte) byte) Vec {
-	var out Vec
-	bitwiseInto(bits, a, b, &out, f)
-	return out
+// regLanes registers a lanewise intrinsic: combinator apply, lane
+// function f, width taken from the name.
+func regLanes[F any](name string, apply func(bits int, args []Value, out *Value, f F), f F) {
+	bits := widthOf(name)
+	register(name, func(m *Machine, args []Value, out *Value) error {
+		apply(bits, args, out, f)
+		return nil
+	})
 }
 
 // saturation helpers.
