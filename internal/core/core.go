@@ -459,8 +459,10 @@ func (rt *Runtime) PublishMetrics() {
 		r.Gauge("ngen.disk.hits").Set(ds.Hits)
 		r.Gauge("ngen.disk.misses").Set(ds.Misses)
 		r.Gauge("ngen.disk.stores").Set(ds.Stores)
+		r.Gauge("ngen.disk.store_errors").Set(ds.StoreErrors)
 		r.Gauge("ngen.disk.corrupt").Set(ds.Corrupt)
 		r.Gauge("ngen.disk.evictions").Set(ds.Evictions)
+		r.Gauge("ngen.disk.scans").Set(ds.Scans)
 	}
 	// Backend build/load statistics publish as backend.<name>.<stat>
 	// through an optional interface, so core stays ignorant of concrete
@@ -606,10 +608,15 @@ func (rt *Runtime) compileKey(k *dsl.Kernel, key cacheKey, parent *obs.Span) (*a
 		return nil, err
 	}
 	if rt.Disk != nil {
+		// A dropped store costs the next process a rebuild, not this
+		// compile: it is counted in DiskCacheStats.StoreErrors.
 		ssp := parent.Child("diskcache.store")
-		rt.Disk.store(key, rt.diskFingerprint(), art)
+		if err := rt.Disk.store(key, rt.diskFingerprint(), art); err != nil {
+			ssp.SetAttr("error", err.Error())
+		} else {
+			rt.Metrics.Counter("ngen.disk.store").Add(1)
+		}
 		ssp.End()
-		rt.Metrics.Counter("ngen.disk.store").Add(1)
 	}
 	return art, nil
 }

@@ -18,6 +18,20 @@ package core
 // the entry and falls back to a full rebuild), and the directory is
 // kept under a byte budget by least-recently-used eviction (hits
 // refresh mtimes).
+//
+// Eviction is one scan of the directory (evict), and a store does not
+// run it every time. Each DiskCache keeps a running total of the .json
+// bytes it knows about: a scan sets it to the directory's real size
+// after eviction, and every compile-entry or plan write adds its
+// length. A write scans only when it is the instance's first, when the
+// total exceeds the budget, or when the instance has written more than
+// an eighth of the budget since its last scan. The last rule bounds
+// drift from other writers sharing the directory: with W writers the
+// directory exceeds the budget by at most W·budget/8 plus one entry.
+// Overwrites and deleted corrupt entries only make the total too high,
+// which brings the next scan sooner. Stores into a cache under its
+// budget therefore cost one file create each, not a directory scan; a
+// cache held at its budget still scans on each store that crosses it.
 
 import (
 	"encoding/json"
@@ -51,13 +65,22 @@ const DefaultDiskCacheBytes = 256 << 20
 type DiskCache struct {
 	dir      string
 	maxBytes int64
-	mu       sync.Mutex // serialises store+evict scans
 
-	hits      atomic.Int64
-	misses    atomic.Int64
-	stores    atomic.Int64
-	corrupt   atomic.Int64
-	evictions atomic.Int64
+	// mu serialises writes with evict scans and guards the running
+	// byte accounting: known is the .json bytes this instance believes
+	// the directory holds, sinceScan what it has written since its last
+	// scan.
+	mu        sync.Mutex
+	known     int64
+	sinceScan int64
+
+	hits        atomic.Int64
+	misses      atomic.Int64
+	stores      atomic.Int64
+	storeErrors atomic.Int64
+	corrupt     atomic.Int64
+	evictions   atomic.Int64
+	scans       atomic.Int64
 }
 
 // OpenDiskCache opens (creating if needed) a cache directory with the
@@ -76,15 +99,18 @@ func OpenDiskCache(dir string, maxBytes int64) (*DiskCache, error) {
 func (d *DiskCache) Dir() string { return d.dir }
 
 // DiskCacheStats is a point-in-time view of persistent-cache traffic.
+// StoreErrors counts compile-entry writes that failed and were dropped;
+// Scans counts eviction scans of the directory.
 type DiskCacheStats struct {
-	Hits, Misses, Stores, Corrupt, Evictions int64
+	Hits, Misses, Stores, StoreErrors, Corrupt, Evictions, Scans int64
 }
 
 // Stats returns the cache's cumulative counters.
 func (d *DiskCache) Stats() DiskCacheStats {
 	return DiskCacheStats{
 		Hits: d.hits.Load(), Misses: d.misses.Load(), Stores: d.stores.Load(),
-		Corrupt: d.corrupt.Load(), Evictions: d.evictions.Load(),
+		StoreErrors: d.storeErrors.Load(), Corrupt: d.corrupt.Load(),
+		Evictions: d.evictions.Load(), Scans: d.scans.Load(),
 	}
 }
 
@@ -166,8 +192,9 @@ func (d *DiskCache) load(key cacheKey, fp string) (*diskEntry, bool) {
 }
 
 // store persists an artifact under (key, fingerprint) with an atomic
-// rename, then enforces the byte budget.
-func (d *DiskCache) store(key cacheKey, fp string, art *artifact) {
+// rename, then accounts its bytes against the budget. A failed write
+// is counted in StoreErrors and returned; the caller's compile stands.
+func (d *DiskCache) store(key cacheKey, fp string, art *artifact) error {
 	ent := &diskEntry{
 		Hash:        fmt.Sprintf("%016x", key.hash),
 		Kernel:      key.name,
@@ -182,36 +209,69 @@ func (d *DiskCache) store(key cacheKey, fp string, art *artifact) {
 	}
 	ent.Sum = ent.checksum()
 	raw, err := json.Marshal(ent)
-	if err != nil {
-		return
+	if err == nil {
+		err = d.writeJSON(d.path(key, fp), "tmp-*.json", raw)
 	}
+	if err != nil {
+		d.storeErrors.Add(1)
+		return fmt.Errorf("core: disk cache store: %w", err)
+	}
+	d.stores.Add(1)
+	return nil
+}
+
+// writeJSON atomically writes raw to path, an entry the eviction scan
+// covers, through a temp file named by pattern; then it adds the bytes
+// to the running total and scans when the total or this instance's
+// writes since its last scan call for it.
+func (d *DiskCache) writeJSON(path, pattern string, raw []byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	tmp, err := os.CreateTemp(d.dir, "tmp-*.json")
-	if err != nil {
-		return
+	if err := d.writeAtomic(path, pattern, raw); err != nil {
+		return err
 	}
-	_, werr := tmp.Write(raw)
+	n := int64(len(raw))
+	d.known += n
+	d.sinceScan += n
+	if d.scans.Load() == 0 || d.known > d.maxBytes || d.sinceScan > d.maxBytes/8 {
+		d.evict()
+	}
+	return nil
+}
+
+// writeAtomic writes data to a temp file in the cache directory and
+// renames it to path. Called with mu held.
+func (d *DiskCache) writeAtomic(path, pattern string, data []byte) error {
+	tmp, err := os.CreateTemp(d.dir, pattern)
+	if err != nil {
+		return err
+	}
+	_, werr := tmp.Write(data)
 	cerr := tmp.Close()
 	if werr != nil || cerr != nil {
 		os.Remove(tmp.Name())
-		return
+		if werr != nil {
+			return werr
+		}
+		return cerr
 	}
-	if os.Rename(tmp.Name(), d.path(key, fp)) != nil {
+	if err := os.Rename(tmp.Name(), path); err != nil {
 		os.Remove(tmp.Name())
-		return
+		return err
 	}
-	d.stores.Add(1)
-	d.evict()
+	return nil
 }
 
-// evict removes least-recently-used entries until the directory fits
-// the byte budget. Called with mu held.
+// evict is the one eviction path: it scans the directory and removes
+// least-recently-used .json entries until it fits the byte budget,
+// then resets the running total to what the scan left. Called with mu
+// held.
 func (d *DiskCache) evict() {
 	dents, err := os.ReadDir(d.dir)
 	if err != nil {
 		return
 	}
+	d.scans.Add(1)
 	type fileInfo struct {
 		path  string
 		size  int64
@@ -233,19 +293,19 @@ func (d *DiskCache) evict() {
 		})
 		total += info.Size()
 	}
-	if total <= d.maxBytes {
-		return
-	}
-	sort.Slice(files, func(i, j int) bool { return files[i].mtime < files[j].mtime })
-	for _, f := range files {
-		if total <= d.maxBytes {
-			break
+	if total > d.maxBytes {
+		sort.Slice(files, func(i, j int) bool { return files[i].mtime < files[j].mtime })
+		for _, f := range files {
+			if total <= d.maxBytes {
+				break
+			}
+			if os.Remove(f.path) == nil {
+				total -= f.size
+				d.evictions.Add(1)
+			}
 		}
-		if os.Remove(f.path) == nil {
-			total -= f.size
-			d.evictions.Add(1)
-		}
 	}
+	d.known, d.sinceScan = total, 0
 }
 
 // --- blob sidecars -----------------------------------------------------------
@@ -280,22 +340,8 @@ func (d *DiskCache) LoadBlob(key string) (string, bool) {
 func (d *DiskCache) StoreBlob(key string, data []byte) (string, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	tmp, err := os.CreateTemp(d.dir, "tmp-*.so")
-	if err != nil {
-		return "", err
-	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		if werr != nil {
-			return "", werr
-		}
-		return "", cerr
-	}
 	p := d.BlobPath(key)
-	if err := os.Rename(tmp.Name(), p); err != nil {
-		os.Remove(tmp.Name())
+	if err := d.writeAtomic(p, "tmp-*.so", data); err != nil {
 		return "", err
 	}
 	return p, nil
@@ -305,9 +351,10 @@ func (d *DiskCache) StoreBlob(key string, data []byte) (string, error) {
 //
 // Calibrated execution plans (internal/plan) persist as plan-<id>.json
 // entries in the same directory, satisfying plan.Store. They are
-// ordinary .json files, so the LRU eviction scan covers them — a plan
-// is regenerable by recalibration, exactly like a compile entry is by
-// recompilation. Plans are write-once: the planner never rewrites a
+// ordinary .json files, so the LRU eviction scan covers them and their
+// writes add to the running byte total that decides when it runs — a
+// plan is regenerable by recalibration, exactly like a compile entry
+// is by recompilation. Plans are write-once: the planner never rewrites a
 // calibrated plan, so warm runs leave the files byte-identical (the
 // planner-determinism test pins this).
 
@@ -330,26 +377,7 @@ func (d *DiskCache) LoadPlan(id string) ([]byte, bool) {
 
 // StorePlan atomically writes the plan bytes under id.
 func (d *DiskCache) StorePlan(id string, data []byte) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	tmp, err := os.CreateTemp(d.dir, "tmp-*.plan")
-	if err != nil {
-		return err
-	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		if werr != nil {
-			return werr
-		}
-		return cerr
-	}
-	if err := os.Rename(tmp.Name(), d.PlanPath(id)); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
+	return d.writeJSON(d.PlanPath(id), "tmp-*.plan", data)
 }
 
 // diskFingerprint identifies everything outside the cache key that

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/kernelc"
+	"repro/internal/obs"
 )
 
 // diskRuntime builds a fresh runtime (empty in-memory cache) attached
@@ -159,6 +161,278 @@ func TestDiskCacheLRUEviction(t *testing.T) {
 	}
 	if _, ok := d.load(key(3), fp); !ok {
 		t.Fatal("entry 3 (just stored) should have survived")
+	}
+}
+
+// testKey is a compile-cache key whose entries differ only in hash.
+func testKey(h uint64) cacheKey {
+	return cacheKey{hash: h, name: "k", arch: "haswell", toolchain: "gcc", tier: kernelc.TierOpt}
+}
+
+// jsonBytes sums the sizes of the .json entries in dir — the bytes the
+// eviction budget governs.
+func jsonBytes(t testing.TB, dir string) int64 {
+	t.Helper()
+	ents, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var total int64
+	for _, e := range ents {
+		info, err := os.Stat(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += info.Size()
+	}
+	return total
+}
+
+// setMtime stamps path with an mtime i seconds after a fixed epoch, so
+// LRU order does not depend on the filesystem's timestamp granularity.
+func setMtime(t *testing.T, path string, i int) {
+	t.Helper()
+	at := time.Unix(1_000_000_000+int64(i), 0)
+	if err := os.Chtimes(path, at, at); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDiskCacheStoreError: a store that cannot write (its directory is
+// gone) must not fail the compile; it is counted as a store error, not
+// a store, in the stats, the counter and the published gauges.
+func TestDiskCacheStoreError(t *testing.T) {
+	dir := t.TempDir()
+	rt := diskRuntime(t, dir)
+	rt.Metrics = obs.NewRegistry()
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	kn, err := rt.Compile(stageSumSquares(rt))
+	if err != nil {
+		t.Fatalf("a dropped store must not fail the compile: %v", err)
+	}
+	if out, err := kn.Call(10); err != nil || out.I != 285 {
+		t.Fatalf("kernel computed (%v, %v), want 285", out.I, err)
+	}
+	if st := rt.Disk.Stats(); st.StoreErrors != 1 || st.Stores != 0 {
+		t.Fatalf("stats %+v, want 1 store error / 0 stores", st)
+	}
+	if got := rt.Metrics.Counter("ngen.disk.store").Load(); got != 0 {
+		t.Fatalf("ngen.disk.store = %d after a failed store, want 0", got)
+	}
+	rt.PublishMetrics()
+	if got := rt.Metrics.Gauge("ngen.disk.store_errors").Load(); got != 1 {
+		t.Fatalf("ngen.disk.store_errors = %d, want 1", got)
+	}
+}
+
+// TestDiskCacheScanOnce: stores far under the budget, from several
+// goroutines at once, scan the directory once, on the first store, and
+// leave the running total equal to the directory's size.
+func TestDiskCacheScanOnce(t *testing.T) {
+	dir := t.TempDir()
+	d, err := OpenDiskCache(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	art := &artifact{source: strings.Repeat("x", 512), command: "cc"}
+	const n, workers = 500, 4
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < n; i += workers {
+				if err := d.store(testKey(uint64(i)), "test-fp", art); err != nil {
+					t.Error(err)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if st := d.Stats(); st.Stores != n || st.Scans != 1 || st.Evictions != 0 {
+		t.Fatalf("stats %+v, want %d stores / 1 scan / 0 evictions", st, n)
+	}
+	d.mu.Lock()
+	known := d.known
+	d.mu.Unlock()
+	if got := jsonBytes(t, dir); known != got {
+		t.Fatalf("running total %d bytes, directory holds %d", known, got)
+	}
+}
+
+// TestDiskCacheCrossingStoreScans: in a cache whose directory already
+// sits just under the budget, the store that takes the running total
+// over it scans and evicts the least-recently-used entry, and the
+// stores before it do not scan.
+func TestDiskCacheCrossingStoreScans(t *testing.T) {
+	dir := t.TempDir()
+	const prefill = 95
+	fp := "test-fp"
+	art := &artifact{source: strings.Repeat("x", 512), command: "cc"}
+
+	// Write every entry once to learn its exact size, then drop the
+	// ones the budgeted cache will store itself.
+	fill, err := OpenDiskCache(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := make([]int64, prefill+5)
+	for i := range sizes {
+		if err := fill.store(testKey(uint64(i)), fp, art); err != nil {
+			t.Fatal(err)
+		}
+		info, err := os.Stat(fill.path(testKey(uint64(i)), fp))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes[i] = info.Size()
+		setMtime(t, fill.path(testKey(uint64(i)), fp), i)
+		if i >= prefill {
+			os.Remove(fill.path(testKey(uint64(i)), fp))
+		}
+	}
+
+	// Budget: everything up to entry prefill+3, plus half of the next.
+	var budget int64
+	for _, sz := range sizes[:prefill+4] {
+		budget += sz
+	}
+	budget += sizes[prefill+4] / 2
+	d, err := OpenDiskCache(dir, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := prefill; i < prefill+4; i++ {
+		if err := d.store(testKey(uint64(i)), fp, art); err != nil {
+			t.Fatal(err)
+		}
+		setMtime(t, d.path(testKey(uint64(i)), fp), i)
+	}
+	if st := d.Stats(); st.Scans != 1 || st.Evictions != 0 {
+		t.Fatalf("under budget: stats %+v, want the first store's scan only", st)
+	}
+	if err := d.store(testKey(prefill+4), fp, art); err != nil {
+		t.Fatal(err)
+	}
+	if st := d.Stats(); st.Scans != 2 || st.Evictions != 1 {
+		t.Fatalf("crossing store: stats %+v, want 2 scans / 1 eviction", st)
+	}
+	if _, err := os.Stat(d.path(testKey(0), fp)); !os.IsNotExist(err) {
+		t.Fatal("the least recently used entry should have been evicted")
+	}
+	if got := jsonBytes(t, dir); got > budget {
+		t.Fatalf("directory holds %d bytes after the scan, budget %d", got, budget)
+	}
+}
+
+// TestDiskCachePlanBudget: plan writes alone count toward the byte
+// budget, so plans over a tiny budget evict the oldest plan.
+func TestDiskCachePlanBudget(t *testing.T) {
+	dir := t.TempDir()
+	const budget = 1000
+	d, err := OpenDiskCache(dir, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := []byte(strings.Repeat("p", 400))
+	for i := 0; i < 4; i++ {
+		id := fmt.Sprintf("p%d", i)
+		if err := d.StorePlan(id, plan); err != nil {
+			t.Fatal(err)
+		}
+		setMtime(t, d.PlanPath(id), i)
+	}
+	if st := d.Stats(); st.Evictions == 0 {
+		t.Fatalf("plans over the budget evicted nothing, stats %+v", st)
+	}
+	if _, ok := d.LoadPlan("p0"); ok {
+		t.Fatal("the oldest plan should have been evicted")
+	}
+	if got := jsonBytes(t, dir); got > budget {
+		t.Fatalf("directory holds %d bytes, budget %d", got, budget)
+	}
+}
+
+// TestDiskCacheSharedDirDrift: two caches interleaving stores over one
+// directory each see only their own writes between scans, so the
+// directory may exceed the budget, but never by more than the
+// documented bound of an eighth of the budget per writer plus one
+// entry.
+func TestDiskCacheSharedDirDrift(t *testing.T) {
+	dir := t.TempDir()
+	fp := "test-fp"
+	art := &artifact{source: strings.Repeat("x", 512), command: "cc"}
+	probe, err := OpenDiskCache(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := probe.store(testKey(0), fp, art); err != nil {
+		t.Fatal(err)
+	}
+	entry := jsonBytes(t, probe.Dir()) + 8 // checksum digits vary
+
+	const budget = 64 << 10
+	writers := make([]*DiskCache, 2)
+	for i := range writers {
+		if writers[i], err = OpenDiskCache(dir, budget); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bound := budget + int64(len(writers))*budget/8 + entry
+	const n = 600
+	for i := 0; i < n; i++ {
+		if err := writers[i%2].store(testKey(uint64(i)), fp, art); err != nil {
+			t.Fatal(err)
+		}
+		if got := jsonBytes(t, dir); got > bound {
+			t.Fatalf("after store %d the directory holds %d bytes, bound %d (budget %d)", i, got, bound, budget)
+		}
+	}
+	var evictions int64
+	for _, w := range writers {
+		evictions += w.Stats().Evictions
+	}
+	if evictions == 0 {
+		t.Fatal("no evictions: the test never filled the budget")
+	}
+}
+
+// BenchmarkDiskCacheStore times one compile-entry store into a cache
+// directory that already holds 0, 300 or 3000 entries. The stores
+// cycle over 64 keys, so the directory holds at most 64 more entries
+// than it was filled with at any b.N.
+func BenchmarkDiskCacheStore(b *testing.B) {
+	fp := "bench-fp"
+	art := &artifact{source: strings.Repeat("x", 1024), command: "cc"}
+	for _, prefill := range []int{0, 300, 3000} {
+		b.Run(fmt.Sprintf("entries=%d", prefill), func(b *testing.B) {
+			dir := b.TempDir()
+			fill, err := OpenDiskCache(b.TempDir(), 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			fill.store(testKey(0), fp, art)
+			raw, err := os.ReadFile(fill.path(testKey(0), fp))
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < prefill; i++ {
+				name := filepath.Join(dir, fmt.Sprintf("%016x-prefill.json", i))
+				if err := os.WriteFile(name, raw, 0o644); err != nil {
+					b.Fatal(err)
+				}
+			}
+			d, err := OpenDiskCache(dir, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d.store(testKey(uint64(i%64)+1<<32), fp, art)
+			}
+		})
 	}
 }
 
