@@ -97,7 +97,8 @@ nativediff:
 # plancheck is the adaptive-planner gate, in two phases. First the
 # calibration round-trip: a cold `ngen plan -check` over the three
 # reference kernels must leave every size bucket calibrated with a
-# measured-best chosen row, persisting its plans to the cache directory;
+# measured-best chosen row that re-times within the -check limit of the
+# best candidate, persisting its plans to the cache directory;
 # the warm rerun — fresh process, same directory — must load every plan
 # and spend zero probes. Second, figure invariance: the auto-planned
 # quick fig6a sweep must be byte-identical to the static one (planner

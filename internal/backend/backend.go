@@ -4,7 +4,7 @@
 // native toolchain and calls it through JNI; our reproduction has so
 // far substituted a single software interpreter (internal/vm driven by
 // internal/kernelc). A Backend abstracts that choice: the interpreter
-// tiers are the first implementations, and backend/native adds a true
+// is the first implementation, and backend/native adds a true
 // native tier that specializes the graph into standalone Go source,
 // builds it as a plugin, and executes it in-process. Future NEON/RVV/
 // GPU backends register here as well.
@@ -51,11 +51,11 @@ type Backend interface {
 	// OS, race-instrumented host, ...). Callers use it to decide
 	// whether to fall back before paying a Compile.
 	Available() error
-	// Compile lowers the function at the given interpreter tier. A
-	// non-nil error means the kernel stays on the vm interpreter; the
-	// error text is the human-readable reason (surfaced by ngen vet's
-	// native-lowerable pass and the runtime's fallback report).
-	Compile(f *ir.Func, tier kernelc.Tier) (Executable, error)
+	// Compile lowers the function. A non-nil error means the kernel
+	// stays on the vm interpreter; the error text is the human-readable
+	// reason (surfaced by ngen vet's native-lowerable pass and the
+	// runtime's fallback report).
+	Compile(f *ir.Func) (Executable, error)
 }
 
 // CachedCompiler is implemented by backends that can distinguish a
@@ -67,7 +67,7 @@ type Backend interface {
 // (nil, false) — with no side effects beyond a load attempt — when a
 // full Compile would have to build.
 type CachedCompiler interface {
-	CompileCached(f *ir.Func, tier kernelc.Tier) (Executable, bool)
+	CompileCached(f *ir.Func) (Executable, bool)
 }
 
 // ArtifactStore persists backend build products (for example native
@@ -87,12 +87,10 @@ type StoreAware interface {
 	SetStore(ArtifactStore)
 }
 
-// Interp is the interpreter backend: a thin adapter over the existing
-// kernelc tiers, so the default execution path flows through the same
-// interface the native tier plugs into.
-type Interp struct {
-	Tier kernelc.Tier
-}
+// Interp is the interpreter backend: a thin adapter over kernelc, so
+// the default execution path flows through the same interface the
+// native tier plugs into.
+type Interp struct{}
 
 // Name returns "vm" — the canonical name of the interpreter backend.
 // Cache entries written before the Backend refactor carry this name
@@ -102,9 +100,9 @@ func (Interp) Name() string { return "vm" }
 // Available always succeeds: the interpreter runs everywhere.
 func (Interp) Available() error { return nil }
 
-// Compile lowers through kernelc at the requested tier.
-func (Interp) Compile(f *ir.Func, tier kernelc.Tier) (Executable, error) {
-	p, err := kernelc.CompileTier(f, tier)
+// Compile lowers through kernelc.
+func (Interp) Compile(f *ir.Func) (Executable, error) {
+	p, err := kernelc.Compile(f)
 	if err != nil {
 		return nil, err
 	}

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/dsl"
 	"repro/internal/isa"
-	"repro/internal/kernelc"
 	"repro/internal/vm"
 )
 
@@ -69,7 +68,7 @@ func TestInterpCompileRuns(t *testing.T) {
 	k.For(k.ConstInt(0), n, 1, func(i dsl.Int) {
 		a.Set(i, a.At(i).Add(k.ConstInt(1)))
 	})
-	exe, err := Interp{Tier: kernelc.TierOpt}.Compile(k.F, kernelc.TierOpt)
+	exe, err := Interp{}.Compile(k.F)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,8 +20,7 @@ type runFn func(args []any) (any, map[string]int64, error)
 
 // contentKey fingerprints generated source together with the toolchain
 // that will compile it: same source + same Go version/OS/arch → same
-// artifact. The key is deliberately tier-independent — kernel semantics
-// are tier-invariant, so both interpreter tiers share one plugin.
+// artifact.
 func contentKey(src string) string {
 	h := fnv.New64a()
 	h.Write([]byte(src))

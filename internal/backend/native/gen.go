@@ -17,10 +17,7 @@ import (
 // ir.Schedule: identical node order, identical error strings, identical
 // static count vectors (flushed per block, scaled by trip counts), so
 // the plugin's results, memory writes, and dynamic op counts are
-// byte-identical to the interpreter at every tier. (The plain and
-// optimized interpreter tiers already agree on all observables — the
-// optimizer differential suite pins that — so one generated form
-// matches both.)
+// byte-identical to the interpreter's.
 //
 // A non-nil error means the function is not native-lowerable; the error
 // text is the reason reported by ngen vet's "native" pass and by the

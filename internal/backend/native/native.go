@@ -25,7 +25,6 @@ import (
 	"repro/internal/backend"
 	"repro/internal/cgen"
 	"repro/internal/ir"
-	"repro/internal/kernelc"
 	"repro/internal/vm"
 )
 
@@ -94,11 +93,8 @@ func (b *Backend) tool() (string, error) {
 	return cgen.FindGo()
 }
 
-// Compile lowers the function to plugin code. The tier is accepted for
-// interface symmetry but does not change the artifact: kernel semantics
-// are tier-invariant (the optimizer differential suite pins plain and
-// opt to identical observables), so both tiers share one plugin.
-func (b *Backend) Compile(f *ir.Func, _ kernelc.Tier) (backend.Executable, error) {
+// Compile lowers the function to plugin code.
+func (b *Backend) Compile(f *ir.Func) (backend.Executable, error) {
 	src, err := generate(f)
 	if err != nil {
 		return nil, err
@@ -120,7 +116,7 @@ func (b *Backend) Compile(f *ir.Func, _ kernelc.Tier) (backend.Executable, error
 // measured run to see whether the native strategy is admissible without
 // perturbing timings. Lowering to source still happens (it is the
 // content key), but that is pure computation with no I/O.
-func (b *Backend) CompileCached(f *ir.Func, _ kernelc.Tier) (backend.Executable, bool) {
+func (b *Backend) CompileCached(f *ir.Func) (backend.Executable, bool) {
 	if b.Available() != nil {
 		return nil, false
 	}

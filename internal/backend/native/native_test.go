@@ -43,8 +43,7 @@ func kernelArgs(t *testing.T, f *ir.Func, n, elems int, seed uint64) ([]vm.Value
 func sameValue(a, b vm.Value) bool { return a.Equal(b) }
 
 // TestNativeDifferentialAllKernels is the native tier's acceptance
-// gate: every registered kernel, at every interpreter tier and several
-// sizes (including a non-multiple-of-width tail), must produce
+// gate: every registered kernel, at several sizes (including a non-multiple-of-width tail), must produce
 // bit-identical results, memory contents, dynamic op counts, and error
 // behavior through the plugin path.
 func TestNativeDifferentialAllKernels(t *testing.T) {
@@ -69,44 +68,40 @@ func TestNativeDifferentialAllKernels(t *testing.T) {
 			if err := Lowerable(f); err != nil {
 				t.Fatalf("kernel is not native-lowerable: %v", err)
 			}
-			for _, tier := range []kernelc.Tier{kernelc.TierPlain, kernelc.TierOpt} {
-				interp, err := kernelc.CompileTier(f, tier)
-				if err != nil {
-					t.Fatal(err)
+			interp, err := kernelc.Compile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nat, err := be.Compile(f)
+			if err != nil {
+				t.Fatalf("native compile: %v", err)
+			}
+			square := strings.Contains(strings.ToLower(tgt.Name), "mmm")
+			for _, n := range []int{8, 32, 33} {
+				elems := n
+				if square {
+					elems = n * n
 				}
-				nat, err := be.Compile(f, tier)
-				if err != nil {
-					t.Fatalf("native compile: %v", err)
+				argsI, bufsI := kernelArgs(t, f, n, elems, 42)
+				argsN, bufsN := kernelArgs(t, f, n, elems, 42)
+				mI, mN := vm.NewMachine(arch), vm.NewMachine(arch)
+				outI, errI := interp.Run(mI, argsI...)
+				outN, errN := nat.Run(mN, argsN...)
+				if (errI == nil) != (errN == nil) ||
+					(errI != nil && errI.Error() != errN.Error()) {
+					t.Fatalf("n=%d: error divergence:\nvm:     %v\nnative: %v", n, errI, errN)
 				}
-				square := strings.Contains(strings.ToLower(tgt.Name), "mmm")
-				for _, n := range []int{8, 32, 33} {
-					elems := n
-					if square {
-						elems = n * n
+				if !sameValue(outI, outN) {
+					t.Fatalf("n=%d: results diverge:\nvm:     %+v\nnative: %+v", n, outI, outN)
+				}
+				for i := range bufsI {
+					if !bytes.Equal(bufsI[i].Data, bufsN[i].Data) {
+						t.Fatalf("n=%d: buffer %d contents diverge", n, i)
 					}
-					argsI, bufsI := kernelArgs(t, f, n, elems, 42)
-					argsN, bufsN := kernelArgs(t, f, n, elems, 42)
-					mI, mN := vm.NewMachine(arch), vm.NewMachine(arch)
-					outI, errI := interp.Run(mI, argsI...)
-					outN, errN := nat.Run(mN, argsN...)
-					if (errI == nil) != (errN == nil) ||
-						(errI != nil && errI.Error() != errN.Error()) {
-						t.Fatalf("tier=%v n=%d: error divergence:\nvm:     %v\nnative: %v",
-							tier, n, errI, errN)
-					}
-					if !sameValue(outI, outN) {
-						t.Fatalf("tier=%v n=%d: results diverge:\nvm:     %+v\nnative: %+v",
-							tier, n, outI, outN)
-					}
-					for i := range bufsI {
-						if !bytes.Equal(bufsI[i].Data, bufsN[i].Data) {
-							t.Fatalf("tier=%v n=%d: buffer %d contents diverge", tier, n, i)
-						}
-					}
-					if !reflect.DeepEqual(mI.Counts, mN.Counts) {
-						t.Fatalf("tier=%v n=%d: dynamic op counts diverge:\nvm:     %v\nnative: %v",
-							tier, n, mI.Counts, mN.Counts)
-					}
+				}
+				if !reflect.DeepEqual(mI.Counts, mN.Counts) {
+					t.Fatalf("n=%d: dynamic op counts diverge:\nvm:     %v\nnative: %v",
+						n, mI.Counts, mN.Counts)
 				}
 			}
 		})
@@ -167,7 +162,7 @@ func TestNativeWarmCacheZeroBuilds(t *testing.T) {
 	f, arch := buildTestKernel(t)
 	store := dirStore{dir: t.TempDir()}
 	be.Store = store
-	if _, err := be.Compile(f, kernelc.TierOpt); err != nil {
+	if _, err := be.Compile(f); err != nil {
 		t.Fatalf("cold compile: %v", err)
 	}
 	if got := be.Counters()["build"]; got != 1 {
@@ -180,7 +175,7 @@ func TestNativeWarmCacheZeroBuilds(t *testing.T) {
 	warm := New()
 	warm.Store = store
 	warm.GoTool = filepath.Join(t.TempDir(), "no-such-go")
-	exe, err := warm.Compile(f, kernelc.TierOpt)
+	exe, err := warm.Compile(f)
 	if err != nil {
 		t.Fatalf("warm compile hit the toolchain: %v", err)
 	}
@@ -220,7 +215,7 @@ func TestNativeCorruptArtifact(t *testing.T) {
 	bad := New()
 	bad.Store = store
 	bad.GoTool = filepath.Join(t.TempDir(), "no-such-go")
-	if _, err := bad.Compile(f, kernelc.TierOpt); err == nil {
+	if _, err := bad.Compile(f); err == nil {
 		t.Fatal("compile succeeded through a corrupt blob and a broken toolchain")
 	}
 	if got := bad.Counters()["corrupt"]; got != 1 {

@@ -82,7 +82,7 @@ func TestUpdateCorpus(t *testing.T) {
 
 // TestCorpusReplay replays every checked-in recipe through the full
 // verdict machinery (verifier classification + differential execution
-// on the vm tiers) and requires a perfectly clean report.
+// on the vm configs) and requires a perfectly clean report.
 func TestCorpusReplay(t *testing.T) {
 	recs := loadCorpus(t)
 	if len(recs) == 0 {
@@ -313,7 +313,7 @@ func TestUnsignedOrderingAgrees(t *testing.T) {
 			},
 		}
 		if be.Available() == nil {
-			nat, err := be.Compile(f, kernelc.TierOpt)
+			nat, err := be.Compile(f)
 			if err != nil {
 				t.Fatalf("%s: native compile: %v", op.name, err)
 			}

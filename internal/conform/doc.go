@@ -12,8 +12,8 @@
 //   - a scalar reference evaluator (oracle.go), a tree-walking
 //     lane-by-lane interpreter over the IR with none of the vm's fast
 //     paths;
-//   - the vm interpreter at both tiers (plain and optimized) and under
-//     the parallel loop scheduler;
+//   - the vm interpreter, serial and under the parallel loop
+//     scheduler;
 //   - the native plugin backend (sampled; each unique kernel is one
 //     `go build -buildmode=plugin`).
 //

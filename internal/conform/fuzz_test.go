@@ -10,7 +10,7 @@ import (
 // FuzzConformGen fuzzes the suite seed: every seed must produce a
 // grammar-valid case stream whose verdicts are all clean — the
 // verifier classifies every mutant as its class predicts and the vm
-// tiers agree with the scalar oracle bit for bit. The native leg stays
+// configs agree with the scalar oracle bit for bit. The native leg stays
 // off here (plugin builds are far too slow for a fuzz loop); the
 // corpus and TestRunSeed1 cover it.
 func FuzzConformGen(f *testing.F) {

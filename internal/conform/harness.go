@@ -12,7 +12,6 @@ import (
 	"repro/internal/ir"
 	"repro/internal/irverify"
 	"repro/internal/isa"
-	"repro/internal/kernelc"
 	"repro/internal/kernels"
 	"repro/internal/vm"
 	"repro/internal/xmlspec"
@@ -146,11 +145,6 @@ func newHarness(opts Options) (*harness, error) {
 	h := &harness{opts: opts, ix: irverify.SpecIndex(), rep: newReport(opts.Seed, opts.Count)}
 
 	mk := func() (*core.Runtime, error) { return core.NewRuntime(opts.Arch, cgen.HostEnvironment) }
-	plain, err := mk()
-	if err != nil {
-		return nil, fmt.Errorf("conform: %w", err)
-	}
-	plain.Opt = kernelc.TierPlain
 	opt, err := mk()
 	if err != nil {
 		return nil, fmt.Errorf("conform: %w", err)
@@ -161,7 +155,6 @@ func newHarness(opts Options) (*harness, error) {
 	}
 	par.Machine.Workers = 4
 	h.configs = []config{
-		{"vm-plain", plain, true},
 		{"vm-opt", opt, true},
 		{"vm-par", par, true},
 	}
@@ -290,8 +283,8 @@ func (h *harness) runCase(rec Recipe, record bool) string {
 }
 
 // execute runs one accepted kernel on the oracle and on every backend,
-// comparing results, memory effects and (between vm tiers) dynamic op
-// counters. It returns ("", "") when everything agrees.
+// comparing results, memory effects and (between the vm configs)
+// dynamic op counters. It returns ("", "") when everything agrees.
 func (h *harness) execute(rec Recipe, k *dsl.Kernel, withNative bool) (kind, detail string) {
 	argSeed := h.opts.Seed + uint64(rec.Case)*131
 	oArgs, oBufs, err := kernels.BuildArgs(k.F, rec.N, rec.Elems(), argSeed)

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/backend"
 	"repro/internal/ir"
-	"repro/internal/kernelc"
 	"repro/internal/vm"
 )
 
@@ -25,7 +24,7 @@ type stubBackend struct {
 func (s *stubBackend) Name() string     { return s.name }
 func (s *stubBackend) Available() error { return nil }
 
-func (s *stubBackend) Compile(f *ir.Func, _ kernelc.Tier) (backend.Executable, error) {
+func (s *stubBackend) Compile(f *ir.Func) (backend.Executable, error) {
 	if s.refuse != nil {
 		return nil, s.refuse
 	}
@@ -143,14 +142,14 @@ func TestDiskKeyBackendIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kv := cacheKey{hash: 0xabcd, name: "k", arch: "hsw", toolchain: "icc 16", tier: kernelc.TierOpt, backend: "vm"}
+	kv := cacheKey{hash: 0xabcd, name: "k", arch: "hsw", toolchain: "icc 16", backend: "vm"}
 	kn := kv
 	kn.backend = "native"
 	if d.path(kv, "fp") == d.path(kn, "fp") {
 		t.Fatal("vm and native disk entries share a file")
 	}
 	ent := &diskEntry{Hash: "000000000000abcd", Kernel: "k", Arch: "hsw",
-		Toolchain: "icc 16", Tier: kernelc.TierOpt.String(), Backend: "vm", Fingerprint: "fp"}
+		Toolchain: "icc 16", Backend: "vm", Fingerprint: "fp"}
 	ent.Sum = ent.checksum()
 	if !ent.matches(kv, "fp") {
 		t.Fatal("entry does not match its own key")

@@ -6,7 +6,7 @@ package core
 // the machine-independent compile products — generated C, native
 // compile command, verifier verdict — content-addressed by the same
 // key the memory cache uses (graph hash ⊕ kernel ⊕ microarch ⊕
-// toolchain ⊕ tier) plus a toolchain fingerprint (Go runtime version,
+// toolchain ⊕ backend) plus a toolchain fingerprint (Go runtime version,
 // persistence format, feature set), so a stale or foreign entry can
 // never be mistaken for a hit.
 //
@@ -55,8 +55,8 @@ var nowForMtime = time.Now
 // persistVersion is bumped whenever the entry schema or the meaning of
 // a field changes; it is folded into the fingerprint, so old entries
 // miss instead of misparse. v2 added the execution-backend dimension to
-// the key.
-const persistVersion = 2
+// the key; v3 dropped the lowering-tier dimension (there is one tier).
+const persistVersion = 3
 
 // DefaultDiskCacheBytes is the eviction budget used by the CLI.
 const DefaultDiskCacheBytes = 256 << 20
@@ -124,7 +124,6 @@ type diskEntry struct {
 	Kernel      string           `json:"kernel"`
 	Arch        string           `json:"arch"`
 	Toolchain   string           `json:"toolchain"`
-	Tier        string           `json:"tier"`
 	Backend     string           `json:"backend"`
 	Fingerprint string           `json:"fingerprint"`
 	Source      string           `json:"source"`
@@ -152,19 +151,18 @@ func (e *diskEntry) matches(key cacheKey, fp string) bool {
 		e.Kernel == key.name &&
 		e.Arch == key.arch &&
 		e.Toolchain == key.toolchain &&
-		e.Tier == key.tier.String() &&
 		e.Backend == key.backend &&
 		e.Fingerprint == fp &&
 		e.Sum == e.checksum()
 }
 
 // path derives the entry filename: the graph hash plus an fnv of the
-// remaining key dimensions, so kernels sharing a graph at different
-// tiers, toolchains, or execution backends occupy distinct files.
+// remaining key dimensions, so kernels sharing a graph under different
+// toolchains or execution backends occupy distinct files.
 func (d *DiskCache) path(key cacheKey, fp string) string {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%s\x00%s\x00%s\x00%s\x00%s\x00%s",
-		key.name, key.arch, key.toolchain, key.tier, key.backend, fp)
+	fmt.Fprintf(h, "%s\x00%s\x00%s\x00%s\x00%s",
+		key.name, key.arch, key.toolchain, key.backend, fp)
 	return filepath.Join(d.dir, fmt.Sprintf("%016x-%016x.json", key.hash, h.Sum64()))
 }
 
@@ -200,7 +198,6 @@ func (d *DiskCache) store(key cacheKey, fp string, art *artifact) error {
 		Kernel:      key.name,
 		Arch:        key.arch,
 		Toolchain:   key.toolchain,
-		Tier:        key.tier.String(),
 		Backend:     key.backend,
 		Fingerprint: fp,
 		Source:      art.source,

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/kernelc"
 	"repro/internal/obs"
 )
 
@@ -111,6 +110,60 @@ func TestDiskCacheCorruptionTolerance(t *testing.T) {
 	}
 }
 
+// TestDiskCacheOldEntryRebuilt: a compile entry written by the
+// previous persistence format (v2: a "tier" field in the entry and the
+// path, fmt2 in the fingerprint) is never served. Under its own file
+// name it is simply not the current key's file; copied over the current
+// key's file it fails the key check, counts as corrupt, and is rebuilt.
+func TestDiskCacheOldEntryRebuilt(t *testing.T) {
+	old, err := os.ReadFile("testdata/v2_entry.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, field := range []string{`"tier":"opt"`, `;fmt2;`, `"kernel":"sum_squares"`} {
+		if !strings.Contains(string(old), field) {
+			t.Fatalf("fixture lacks %s", field)
+		}
+	}
+	dir := t.TempDir()
+	oldPath := filepath.Join(dir, "19438f9dbba58036-ddf1bd959d55c29a.json")
+	if err := os.WriteFile(oldPath, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	compile := func(wantFull int64, wantStats DiskCacheStats) string {
+		t.Helper()
+		rt := diskRuntime(t, dir)
+		ResetFullCompiles()
+		kn, err := rt.Compile(stageSumSquares(rt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out, err := kn.Call(10); err != nil || out.I != 285 {
+			t.Fatalf("sum_squares(10) = %d, %v; want 285", out.I, err)
+		}
+		st := rt.Disk.Stats()
+		st.Scans = 0
+		if got := FullCompiles(); got != wantFull || st != wantStats {
+			t.Fatalf("full compiles %d, disk %+v; want %d, %+v", got, st, wantFull, wantStats)
+		}
+		key := cacheKey{hash: kn.art.hash, name: "sum_squares", arch: rt.Arch.Name,
+			toolchain: rt.Toolchain.Name + " " + rt.Toolchain.Version, backend: "vm"}
+		return rt.Disk.path(key, rt.diskFingerprint())
+	}
+	cur := compile(1, DiskCacheStats{Misses: 1, Stores: 1})
+	if cur == oldPath {
+		t.Fatal("the current format reuses the old entry's file name")
+	}
+	if raw, _ := os.ReadFile(oldPath); string(raw) != string(old) {
+		t.Fatal("the old entry was read and rewritten")
+	}
+	if err := os.WriteFile(cur, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	compile(1, DiskCacheStats{Misses: 1, Stores: 1, Corrupt: 1})
+	compile(0, DiskCacheStats{Hits: 1})
+}
+
 // TestDiskCacheLRUEviction drives eviction white-box: three entries
 // under a two-entry budget, with the oldest entry's LRU position
 // refreshed by a hit, must evict the middle (least recently used) one.
@@ -123,7 +176,7 @@ func TestDiskCacheLRUEviction(t *testing.T) {
 	d.maxBytes = 1 << 30 // hold eviction off while sizing
 	fp := "test-fp"
 	key := func(h uint64) cacheKey {
-		return cacheKey{hash: h, name: "k", arch: "haswell", toolchain: "gcc", tier: kernelc.TierOpt}
+		return cacheKey{hash: h, name: "k", arch: "haswell", toolchain: "gcc"}
 	}
 	art := &artifact{source: strings.Repeat("x", 512), command: "cc"}
 
@@ -166,7 +219,7 @@ func TestDiskCacheLRUEviction(t *testing.T) {
 
 // testKey is a compile-cache key whose entries differ only in hash.
 func testKey(h uint64) cacheKey {
-	return cacheKey{hash: h, name: "k", arch: "haswell", toolchain: "gcc", tier: kernelc.TierOpt}
+	return cacheKey{hash: h, name: "k", arch: "haswell", toolchain: "gcc"}
 }
 
 // jsonBytes sums the sizes of the .json entries in dir — the bytes the
@@ -441,7 +494,7 @@ func BenchmarkDiskCacheStore(b *testing.B) {
 // artifact, and the dedup counter records the waiters.
 func TestSingleFlightDedup(t *testing.T) {
 	c := NewCompileCache()
-	key := cacheKey{hash: 7, name: "k", arch: "haswell", toolchain: "gcc", tier: kernelc.TierOpt}
+	key := cacheKey{hash: 7, name: "k", arch: "haswell", toolchain: "gcc"}
 	const n = 8
 	release := make(chan struct{})
 	var calls atomic.Int32

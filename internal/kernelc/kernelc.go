@@ -39,14 +39,13 @@
 //     allocate. Constants, and the kinds of every operand-arena slot, are
 //     written once when a frame is built, never per execution. Programs
 //     are safe to Run concurrently; each Run owns a private frame.
-//   - The loop-nest optimizer (Options.Optimize, see optimize.go):
-//     loop-invariant scalar defs are hoisted out of loop bodies and run
-//     once at loop entry, affine i32 functions of the induction variable
-//     (base + i*stride address math) are strength-reduced to one
-//     incremental add per iteration, and loops proven independent carry
-//     a plan for the sharded driver (par.go). Both tiers share the
-//     evaluator and the loop driver; the optimizer only decides which
-//     nodes run per iteration. Dynamic counts are preserved exactly:
+//   - The loop-nest optimizer (see optimize.go): loop-invariant scalar
+//     defs are hoisted out of loop bodies and run once at loop entry,
+//     affine i32 functions of the induction variable (base + i*stride
+//     address math) are strength-reduced to one incremental add per
+//     iteration, and loops proven independent carry a plan for the
+//     sharded driver (par.go). The optimizer only decides which nodes
+//     run per iteration. Dynamic counts are preserved exactly:
 //     hoisted and strength-reduced nodes keep their entries in the
 //     body's static count vector, so the cost model — and therefore
 //     every figure — sees the identical op stream.
@@ -83,67 +82,6 @@ const (
 	OpLoopIter    = "scalar.loop"
 	OpBranch      = "scalar.branch"
 )
-
-// Options selects the interpreter's compile-time optimisation passes.
-// The zero value disables everything; use DefaultOptions (or Compile)
-// for the shipping configuration. Every configuration lowers to the same
-// destination-passing evaluator.
-type Options struct {
-	// Fuse enables superinstruction fusion of vector intrinsic chains.
-	Fuse bool
-	// Optimize enables the loop-nest optimizer: loop-invariant code
-	// motion, strength reduction of affine induction-variable math (see
-	// optimize.go), and the parallel loop plan (see par.go).
-	Optimize bool
-}
-
-// DefaultOptions is the shipping configuration: everything on.
-func DefaultOptions() Options { return Options{Fuse: true, Optimize: true} }
-
-// Tier names a bundled optimisation level, used by the compile cache to
-// keep artifacts from different configurations apart. The zero value is
-// the fully optimized tier, so zero-valued runtimes get the fast path.
-type Tier int
-
-const (
-	// TierOpt is the default: fusion plus the loop-nest optimizer.
-	TierOpt Tier = iota
-	// TierPlain is the same evaluator with the loop-nest optimizer off
-	// (fusion only). Differential tests diff it against TierOpt, which
-	// isolates the optimizer.
-	TierPlain
-	// TierAuto defers the tier choice to the execution planner
-	// (internal/plan): core compiles both tier programs under one
-	// cache entry and picks per invocation. CompileTier maps it to the
-	// opt pipeline, the planner's default leg.
-	TierAuto
-)
-
-// String names the tier for cache keys and span attributes. Unknown
-// values render as "tier(<n>)" so a miskeyed tier stays visible in
-// cache paths and obs labels instead of silently aliasing "opt".
-func (t Tier) String() string {
-	switch t {
-	case TierOpt:
-		return "opt"
-	case TierPlain:
-		return "plain"
-	case TierAuto:
-		return "auto"
-	default:
-		return fmt.Sprintf("tier(%d)", int(t))
-	}
-}
-
-// Options expands the tier into its pass selection.
-func (t Tier) Options() Options {
-	switch t {
-	case TierPlain:
-		return Options{Fuse: true, Optimize: false}
-	default:
-		return DefaultOptions()
-	}
-}
 
 // Program is a compiled kernel.
 type Program struct {
@@ -364,8 +302,6 @@ type compiler struct {
 	// block results and effect annotations; fusion requires exactly one.
 	uses     map[int]int
 	arenaLen int
-	fuse     bool
-	opt      bool
 	fused    int
 	hoisted  int
 	strength int
@@ -423,21 +359,13 @@ func (c *compiler) strided(idx ir.Exp) bool {
 	return walk(idx, 0)
 }
 
-// Compile lowers a staged function to an executable program at the
-// default (fully optimized) tier. Staging errors surface here:
-// intrinsics without executable semantics, unbound symbols, unsupported
-// ops.
-func Compile(f *ir.Func) (*Program, error) { return CompileWith(f, DefaultOptions()) }
-
-// CompileTier compiles at a named tier (the compile cache keys on it).
-func CompileTier(f *ir.Func, t Tier) (*Program, error) { return CompileWith(f, t.Options()) }
-
-// CompileWith exposes the optimisation switches so differential tests
-// can compare configurations op-for-op.
-func CompileWith(f *ir.Func, o Options) (*Program, error) {
+// Compile lowers a staged function to an executable program, with
+// superinstruction fusion and the loop-nest optimizer always on.
+// Staging errors surface here: intrinsics without executable
+// semantics, unbound symbols, unsupported ops.
+func Compile(f *ir.Func) (*Program, error) {
 	c := &compiler{f: f, sched: ir.Schedule(f), slots: map[int]int{},
-		consts: map[constKey]int{}, uses: map[int]int{},
-		fuse: o.Fuse, opt: o.Optimize, skip: map[int]bool{}}
+		consts: map[constKey]int{}, uses: map[int]int{}, skip: map[int]bool{}}
 	c.countUses(f.G.Root())
 	p := &Program{F: f}
 	c.prog = p
@@ -473,6 +401,14 @@ func CompileWith(f *ir.Func, o Options) (*Program, error) {
 	}
 	return p, nil
 }
+
+// TierOpt and CompileTier keep the former tiered entry point compiling
+// for callers outside this module's packages (the perfbench driver).
+// There is one lowering tier: CompileTier(f, TierOpt) is Compile(f).
+const TierOpt = 0
+
+// CompileTier is Compile; the tier argument is ignored.
+func CompileTier(f *ir.Func, _ int) (*Program, error) { return Compile(f) }
 
 // countUses tallies every symbol reference reachable from the schedule.
 func (c *compiler) countUses(b *ir.Block) {
@@ -656,7 +592,7 @@ func (c *compiler) compileBlock(b *ir.Block) ([]op, []countDelta, error) {
 		default:
 			var inl *inline
 			var prodCounts []countDelta
-			if c.fuse && pending != nil && pending.into != nil && c.uses[pending.sym.ID] == 1 {
+			if pending != nil && pending.into != nil && c.uses[pending.sym.ID] == 1 {
 				if pos := fusablePos(d, pending.sym); pos >= 0 {
 					inl = &inline{pos: pos, into: pending.into, chain: pending.chain}
 					prodCounts = pending.counts
@@ -890,13 +826,9 @@ func (c *compiler) compileLoop(n *ir.Node) (op, error) {
 		lc.dst = reg{idx: c.slot(n.Sym), kind: n.Sym.Typ.Kind}
 	}
 	// The loop-nest optimizer claims invariant and affine nodes before
-	// the body is lowered; compileBlock then skips them. Without it the
-	// plan is empty and the same driver runs the whole body per
-	// iteration.
-	var plan loopPlan
-	if c.opt {
-		plan = c.planLoop(body)
-	}
+	// the body is lowered; compileBlock then skips them. With an empty
+	// plan the driver runs the whole body per iteration.
+	plan := c.planLoop(body)
 	// Claimed nodes still own a register the body reads; assign their
 	// slots now since compileBlock will skip them.
 	for _, pn := range plan.hoisted {
@@ -926,7 +858,7 @@ func (c *compiler) compileLoop(n *ir.Node) (op, error) {
 	}
 	// Hoisted and strength-reduced nodes run from the loop driver; their
 	// static counts merge into the body's vector so the dynamic count
-	// stream is identical with the optimizer on or off.
+	// stream is the one the unoptimized body would produce.
 	hoistedOps, derivedOps, extraCounts, derSlots, err := c.lowerPlan(plan)
 	if err != nil {
 		return nil, err
@@ -943,19 +875,17 @@ func (c *compiler) compileLoop(n *ir.Node) (op, error) {
 	// loop-carried dependency chain (see internal/machine). The body's
 	// static count vector is applied once, scaled by the trip count.
 	lc.loopKey = fmt.Sprintf("loop.#%d", n.Sym.ID)
-	if c.opt {
-		// The parallel tier: when the dependence analysis proves
-		// iterations independent, attach the probe plan; the driver
-		// decides per execution (trip count, worker budget, runtime
-		// probe) whether to shard.
-		pp, err := c.buildParPlan(n, body, lc)
-		if err != nil {
-			return nil, err
-		}
-		if pp != nil {
-			lc.par = pp
-			parEligible.Add(1)
-		}
+	// The parallel tier: when the dependence analysis proves iterations
+	// independent, attach the probe plan; the driver decides per
+	// execution (trip count, worker budget, runtime probe) whether to
+	// shard.
+	pp, err := c.buildParPlan(n, body, lc)
+	if err != nil {
+		return nil, err
+	}
+	if pp != nil {
+		lc.par = pp
+		parEligible.Add(1)
 	}
 	return lc.run, nil
 }

@@ -13,7 +13,7 @@ func haswell() *vm.Machine { return vm.NewMachine(isa.Haswell) }
 
 // stageSaxpy builds the paper's Figure 4 SAXPY: AVX+FMA body plus a
 // scalar tail loop.
-func stageSaxpy(t *testing.T) *dsl.Kernel {
+func stageSaxpy(t testing.TB) *dsl.Kernel {
 	t.Helper()
 	k := dsl.NewKernel("saxpy", isa.Haswell.Features)
 	a := dsl.Mutable(k, k.ParamF32Ptr())

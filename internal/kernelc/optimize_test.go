@@ -3,7 +3,11 @@ package kernelc
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
+	"fmt"
+	"hash/fnv"
 	"math"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -85,7 +89,7 @@ func kernelArgs(t *testing.T, f *ir.Func, n, elems int, seed uint64) ([]vm.Value
 
 // sameValue compares run results without tripping over buffer identity
 // or NaN: pointer results compare their backing bytes, floats compare
-// bit patterns (NaN == NaN here — both tiers run identical scalar
+// bit patterns (NaN == NaN here — both runs execute identical scalar
 // code, so even NaN payloads must match).
 func sameValue(a, b vm.Value) bool {
 	if a.Mem != nil || b.Mem != nil {
@@ -97,62 +101,100 @@ func sameValue(a, b vm.Value) bool {
 	return af == bf && math.Float64bits(a.F) == math.Float64bits(b.F)
 }
 
+// goldenRun is one recorded kernel execution: the error text, the
+// result value, an fnv-1a digest of every argument buffer after the
+// run, and the full dynamic counter map.
+type goldenRun struct {
+	Kernel string           `json:"kernel"`
+	N      int              `json:"n"`
+	Err    string           `json:"err,omitempty"`
+	Result string           `json:"result"`
+	Bufs   []string         `json:"bufs"`
+	Counts map[string]int64 `json:"counts"`
+}
+
+func fnvHex(b []byte) string {
+	h := fnv.New64a()
+	h.Write(b)
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// describeValue renders a run result field by field; floats as bit
+// patterns (NaN payloads included), vectors and pointed-to memory as
+// digests.
+func describeValue(v vm.Value) string {
+	mem := "-"
+	if v.Mem != nil {
+		mem = fnvHex(v.Mem.Data)
+	}
+	return fmt.Sprintf("kind=%d i=%d u=%d f=%#016x b=%t v=%s off=%d mem=%s",
+		v.Kind, v.I, v.U, math.Float64bits(v.F), v.B, fnvHex([]byte(fmt.Sprint(v.V))), v.Off, mem)
+}
+
 // TestOptimizerDifferentialAllKernels is the optimizer's ground truth:
-// every shipped kernel, compiled at both tiers, must agree on results,
-// memory contents and — because the dynamic op counts feed the
-// analytical cost model behind every figure — the exact counter map,
-// across multiple sizes including a non-multiple-of-vector-width tail.
+// every shipped kernel must reproduce, at several sizes including a
+// non-multiple-of-vector-width tail, the results, memory contents,
+// error text and — because the dynamic op counts feed the analytical
+// cost model behind every figure — the exact counter map recorded in
+// testdata/tier_golden.json. The golden was recorded from the
+// interpreter with the loop-nest optimizer off (and checked equal to
+// the optimized program) before that configuration was deleted, so it
+// still pins the optimizer against the unoptimized op stream.
 func TestOptimizerDifferentialAllKernels(t *testing.T) {
+	raw, err := os.ReadFile("testdata/tier_golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden []goldenRun
+	if err := json.Unmarshal(raw, &golden); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]goldenRun{}
+	for _, g := range golden {
+		want[g.Kernel] = append(want[g.Kernel], g)
+	}
 	targets := kernels.Targets()
-	if len(targets) < 18 {
-		t.Fatalf("expected the full 18-kernel registry, got %d", len(targets))
+	if len(targets) < 18 || len(want) != len(targets) {
+		t.Fatalf("expected the full 18-kernel registry in code and golden, got %d and %d",
+			len(targets), len(want))
 	}
 	for _, tgt := range targets {
 		t.Run(tgt.Name, func(t *testing.T) {
 			arch := firstSupporting(tgt.Requires)
 			if arch == nil {
-				t.Skipf("no microarchitecture supports %v", tgt.Requires)
+				t.Fatalf("no microarchitecture supports %v", tgt.Requires)
 			}
 			f, err := tgt.Build(arch.Features)
 			if err != nil {
 				t.Fatal(err)
 			}
-			opt, err := CompileTier(f, TierOpt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			plain, err := CompileTier(f, TierPlain)
+			p, err := Compile(f)
 			if err != nil {
 				t.Fatal(err)
 			}
 			square := strings.Contains(strings.ToLower(tgt.Name), "mmm")
-			for _, n := range []int{8, 32, 33} {
-				elems := n
+			runs := want[tgt.Name]
+			if len(runs) != 3 {
+				t.Fatalf("golden holds %d runs for %s, want 3", len(runs), tgt.Name)
+			}
+			for _, w := range runs {
+				elems := w.N
 				if square {
-					elems = n * n
+					elems = w.N * w.N
 				}
-				argsO, bufsO := kernelArgs(t, f, n, elems, 42)
-				argsP, bufsP := kernelArgs(t, f, n, elems, 42)
-				mO, mP := vm.NewMachine(arch), vm.NewMachine(arch)
-				outO, errO := opt.Run(mO, argsO...)
-				outP, errP := plain.Run(mP, argsP...)
-				if (errO == nil) != (errP == nil) ||
-					(errO != nil && errO.Error() != errP.Error()) {
-					t.Fatalf("n=%d: tiers disagree on errors:\nopt:   %v\nplain: %v",
-						n, errO, errP)
+				args, bufs := kernelArgs(t, f, w.N, elems, 42)
+				m := vm.NewMachine(arch)
+				out, err := p.Run(m, args...)
+				got := goldenRun{Kernel: tgt.Name, N: w.N, Result: describeValue(out),
+					Counts: map[string]int64(m.Counts)}
+				if err != nil {
+					got.Err = err.Error()
 				}
-				if !sameValue(outO, outP) {
-					t.Fatalf("n=%d: results diverge:\nopt:   %+v\nplain: %+v",
-						n, outO, outP)
+				for _, b := range bufs {
+					got.Bufs = append(got.Bufs, fnvHex(b.Data))
 				}
-				for i := range bufsO {
-					if !bytes.Equal(bufsO[i].Data, bufsP[i].Data) {
-						t.Fatalf("n=%d: buffer %d contents diverge", n, i)
-					}
-				}
-				if !reflect.DeepEqual(mO.Counts, mP.Counts) {
-					t.Fatalf("n=%d: dynamic op counts diverge:\nopt:   %v\nplain: %v",
-						n, mO.Counts, mP.Counts)
+				if !reflect.DeepEqual(got, w) {
+					t.Fatalf("n=%d: diverges from the golden run:\ngot:  %+v\nwant: %+v", w.N, got, w)
 				}
 			}
 		})
@@ -175,46 +217,48 @@ func stageLICM(t *testing.T) *dsl.Kernel {
 }
 
 // TestHoistAndStrengthReduceClaims checks the optimizer recognises the
-// staged shapes: the invariant chain hoists, the affine chain strength-
-// reduces, and the plain tier reports zero for both.
+// staged shapes — the invariant chain hoists, the affine chain strength-
+// reduces — and that the claims change nothing observable: memory
+// matches the closed form a[i] = n*n+7+4i, and the counts match the
+// unoptimized body's (two mul and two alu per iteration, one store),
+// including for the empty loop (entry work is guarded by start < end).
 func TestHoistAndStrengthReduceClaims(t *testing.T) {
 	k := stageLICM(t)
-	opt, err := CompileTier(k.F, TierOpt)
+	p, err := Compile(k.F)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opt.Hoisted() < 2 {
-		t.Errorf("n*n+7 should hoist two nodes, got Hoisted()=%d", opt.Hoisted())
+	if p.Hoisted() < 2 {
+		t.Errorf("n*n+7 should hoist two nodes, got Hoisted()=%d", p.Hoisted())
 	}
-	if opt.Strength() < 1 {
-		t.Errorf("i*4 should strength-reduce, got Strength()=%d", opt.Strength())
+	if p.Strength() < 1 {
+		t.Errorf("i*4 should strength-reduce, got Strength()=%d", p.Strength())
 	}
-	plain, err := CompileTier(k.F, TierPlain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Hoisted() != 0 || plain.Strength() != 0 {
-		t.Errorf("plain tier must not optimize: hoisted=%d strength=%d",
-			plain.Hoisted(), plain.Strength())
-	}
-
-	// The claims must not change observable behaviour, including for the
-	// empty loop (entry work is guarded by start < end).
+	loopKey := ""
 	for _, n := range []int{0, 1, 13} {
-		bO := vm.NewBuffer(isa.PrimI32, 16)
-		bP := vm.NewBuffer(isa.PrimI32, 16)
-		mO, mP := haswell(), haswell()
-		if _, err := opt.Run(mO, vm.PtrValue(bO, 0), vm.IntValue(n)); err != nil {
+		b := vm.NewBuffer(isa.PrimI32, 16)
+		m := haswell()
+		if _, err := p.Run(m, vm.PtrValue(b, 0), vm.IntValue(n)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := plain.Run(mP, vm.PtrValue(bP, 0), vm.IntValue(n)); err != nil {
-			t.Fatal(err)
+		for i := 0; i < 16; i++ {
+			want := 0
+			if i < n {
+				want = n*n + 7 + 4*i
+			}
+			if got := int(b.IntAt(i)); got != want {
+				t.Fatalf("n=%d: a[%d] = %d, want %d", n, i, got, want)
+			}
 		}
-		if !bytes.Equal(bO.Data, bP.Data) {
-			t.Fatalf("n=%d: memory diverges", n)
+		for key := range m.Counts {
+			if strings.HasPrefix(key, "loop.#") {
+				loopKey = key
+			}
 		}
-		if !reflect.DeepEqual(mO.Counts, mP.Counts) {
-			t.Fatalf("n=%d: counts diverge\nopt:   %v\nplain: %v", n, mO.Counts, mP.Counts)
+		want := vm.Counter{loopKey: int64(n), OpLoopIter: int64(n), OpScalarALU: 2 * int64(n),
+			OpScalarMul: 2 * int64(n), OpScalarStore: int64(n)}
+		if !reflect.DeepEqual(m.Counts, want) {
+			t.Fatalf("n=%d: counts\ngot:  %v\nwant: %v", n, m.Counts, want)
 		}
 	}
 }
@@ -223,7 +267,7 @@ func TestHoistAndStrengthReduceClaims(t *testing.T) {
 // load→load→fma→store body fuses into a chain the compiler reports.
 func TestFusedChainLength(t *testing.T) {
 	k := stageSaxpy(t)
-	p, err := CompileTier(k.F, TierOpt)
+	p, err := Compile(k.F)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +288,7 @@ func TestNegativeDegreeShapes(t *testing.T) {
 			return acc.Add(i)
 		})
 	k.Return(sum)
-	p, err := CompileTier(k.F, TierOpt)
+	p, err := Compile(k.F)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +310,7 @@ func TestNegativeDegreeShapes(t *testing.T) {
 // frame pool plus the per-frame vector arena absorb all vector traffic.
 func TestOptimizedRunZeroAllocs(t *testing.T) {
 	k := stageSaxpy(t)
-	p, err := CompileTier(k.F, TierOpt)
+	p, err := Compile(k.F)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +336,7 @@ func TestOptimizedRunZeroAllocs(t *testing.T) {
 func TestArenaAccounting(t *testing.T) {
 	ResetArenaStats()
 	k := stageSaxpy(t)
-	p, err := CompileTier(k.F, TierOpt)
+	p, err := Compile(k.F)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,38 +354,20 @@ func TestArenaAccounting(t *testing.T) {
 	}
 }
 
-// BenchmarkSaxpyTiers measures the interpreter at both tiers; the
-// benchmark harness picks the optimized number up for BENCH_pr4.json.
-func BenchmarkSaxpyTiers(b *testing.B) {
-	for _, tier := range []Tier{TierOpt, TierPlain} {
-		b.Run(tier.String(), func(b *testing.B) {
-			k := dsl.NewKernel("saxpy", isa.Haswell.Features)
-			a := dsl.Mutable(k, k.ParamF32Ptr())
-			bb := k.ParamF32Ptr()
-			s := k.ParamF32()
-			n := k.ParamInt()
-			n0 := n.Shr(3).Shl(3)
-			k.For(k.ConstInt(0), n0, 8, func(i dsl.Int) {
-				va := k.MM256LoaduPs(a, i)
-				vb := k.MM256LoaduPs(bb, i)
-				k.MM256StoreuPs(a, i, k.MM256FmaddPs(vb, k.MM256Set1Ps(s), va))
-			})
-			k.For(n0, n, 1, func(i dsl.Int) {
-				a.Set(i, a.At(i).Add(bb.At(i).Mul(s)))
-			})
-			p, err := CompileTier(k.F, tier)
-			if err != nil {
-				b.Fatal(err)
-			}
-			_, args := saxpyInputs(1024)
-			m := haswell()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := p.Run(m, args...); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+// BenchmarkSaxpy measures the interpreter on a 1024-element SAXPY.
+func BenchmarkSaxpy(b *testing.B) {
+	k := stageSaxpy(b)
+	p, err := Compile(k.F)
+	if err != nil {
+		b.Fatal(err)
+	}
+	_, args := saxpyInputs(1024)
+	m := haswell()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.Run(m, args...); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

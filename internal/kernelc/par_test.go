@@ -52,7 +52,7 @@ func TestParallelDifferentialAllKernels(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p, err := CompileTier(f, TierOpt)
+			p, err := Compile(f)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -104,7 +104,7 @@ func TestParallelAccumulatorResult(t *testing.T) {
 			return acc.Add(i)
 		})
 	k.Return(sum)
-	p, err := CompileTier(k.F, TierOpt)
+	p, err := Compile(k.F)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func stageStencil() *dsl.Kernel {
 // stride) — the admit check the static analysis cannot make.
 func TestParallelAliasFallback(t *testing.T) {
 	forcePar(t)
-	p, err := CompileTier(stageStencil().F, TierOpt)
+	p, err := Compile(stageStencil().F)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestParallelAliasFallback(t *testing.T) {
 // every concurrent sharded execution must produce the serial image.
 func TestParallelRunsConcurrently(t *testing.T) {
 	forcePar(t)
-	p, err := CompileTier(stageStencil().F, TierOpt)
+	p, err := Compile(stageStencil().F)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestArenaNoUndercountOnError(t *testing.T) {
 	k.For(k.ConstInt(0), n, 1, func(i dsl.Int) {
 		a.Set(i, i)
 	})
-	p, err := CompileTier(k.F, TierOpt)
+	p, err := Compile(k.F)
 	if err != nil {
 		t.Fatal(err)
 	}

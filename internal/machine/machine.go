@@ -161,7 +161,7 @@ func has(name string, subs ...string) bool {
 // Classify maps a counted op name to its cost. Unknown intrinsics
 // default to a one-uop vector-integer op; the first time each unknown
 // spelling is priced it is recorded and logged once (see UnknownOps),
-// so planner mispredictions caused by unpriced ops stay visible.
+// so figure errors caused by unpriced ops stay visible.
 func Classify(name string) OpCost {
 	c, known := classify(name)
 	if !known {

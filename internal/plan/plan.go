@@ -1,15 +1,14 @@
 // Package plan is the adaptive execution planner: for each (kernel
 // graph, microarchitecture, working-set size bucket) it selects the
 // fastest execution strategy — backend (vm interpreter or native
-// plugin), lowering tier (opt or plain), and parallel lane count with
-// shard chunk size — by combining the analytical cost model's
-// prediction with bounded online calibration.
+// plugin) and parallel lane count with shard chunk size — by measuring
+// every admissible candidate on real invocations.
 //
 // The paper's pipeline faces the same decision implicitly: when is the
 // JNI crossing to a native kernel worth its fixed cost, and when does
 // the managed tier win? Here the decision is explicit and measured.
 // Strategy switching is safe by construction: every strategy executes
-// the identical counted op stream (the tier/backend/parallel
+// the identical counted op stream (the backend and parallel
 // differential suites pin results, writes, and dynamic counts to be
 // bit-identical), so the planner can only change wall-clock time, never
 // figures or results.
@@ -17,30 +16,23 @@
 // Lifecycle of one (hash, arch, bucket) key:
 //
 //  1. Unknown — Decide returns ok=false; the caller runs the default
-//     strategy (vm/opt, the zero-value runtime behavior), measures its
-//     single-invocation op-count delta and wall time, and calls
-//     Install with model-priced candidates followed by Observe for the
-//     default run. Prediction (machine.PredictStrategies) ranks the
-//     admissible tuples; candidates predicted slower than PruneRatio ×
-//     the best are pruned so calibration never wastes probe runs on
-//     hopeless strategies (ExploreAll disables pruning for the `ngen
-//     plan` calibration tool).
-//  2. Calibrating — Decide rotates through unpruned candidates until
-//     each has ProbeBudget timed probes. Probe runs are real
-//     invocations serving real callers (exploration is amortized
-//     across a benchmark's repeat loop, never extra work), they just
-//     pick the strategy under test instead of the incumbent.
-//  3. Calibrated — the candidate with the lowest exponentially
-//     smoothed measured time wins; if that differs from the model's
-//     pick, the plan.mispredict counter records it (the telemetry that
-//     says where the cost model's host constants are off). The plan
-//     persists once — write-once, atomic, checksummed — through the
-//     attached Store, so a warm -cachedir process loads it and runs
-//     zero exploration probes. The measurement table freezes with the
-//     plan: post-calibration observations are ignored (they could only
-//     drift the chosen row against its frozen rivals without informing
-//     any decision), so the live table always agrees with the
-//     persisted plan.
+//     strategy (vm, serial — the static runtime's behavior), then calls
+//     Install with the admissible candidates (default first) followed
+//     by Observe for that run.
+//  2. Calibrating — Decide rotates through the candidates until each
+//     has ProbeBudget timed probes. Probe runs are real invocations
+//     serving real callers (exploration is amortized across a
+//     benchmark's repeat loop, never extra work), they just pick the
+//     strategy under test instead of the incumbent.
+//  3. Calibrated — the candidate with the fastest single probe wins.
+//     Scoring by the fastest probe rather than an average keeps a
+//     cold first call (page faults, plugin load, first-touch frames)
+//     from deciding the plan. The plan persists once — write-once,
+//     atomic, checksummed — through the attached Store, so a warm
+//     -cachedir process loads it and runs zero exploration probes. The
+//     measurement table freezes with the plan: post-calibration
+//     observations are ignored, so the live table always agrees with
+//     the persisted plan.
 package plan
 
 import (
@@ -48,15 +40,19 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/machine"
 )
 
 // Version is the persisted-plan schema version; bumped on any change
-// to the file format so stale files miss instead of misparse.
-const Version = 1
+// to the file format so stale files miss instead of misparse. v2
+// dropped the model's predictions and the tier from the strategy.
+const Version = 2
+
+// ProbeBudget is how many timed runs each candidate gets before the
+// plan calibrates.
+const ProbeBudget = 2
 
 // Key identifies one planning unit: a staged graph (by canonical
 // structural hash), the microarchitecture it runs on, and the
@@ -98,26 +94,37 @@ func Bucket(bytes int64) int {
 	return b
 }
 
-// Candidate is one admissible strategy with its predicted and (once
-// probed) measured cost.
+// StrategySpec names one admissible execution configuration: which
+// backend runs the kernel and how many parallel lanes (1 = serial) with
+// which shard chunk size (0 = scheduler default).
+type StrategySpec struct {
+	Backend string `json:"backend"`
+	Lanes   int    `json:"lanes"`
+	Chunk   int    `json:"chunk,omitempty"`
+}
+
+// String renders the spec the way planner tables print it.
+func (s StrategySpec) String() string {
+	out := s.Backend + "/" + strconv.Itoa(s.Lanes)
+	if s.Chunk > 0 {
+		out += "c" + strconv.Itoa(s.Chunk)
+	}
+	return out
+}
+
+// Candidate is one admissible strategy with its measured cost.
 type Candidate struct {
-	Spec machine.StrategySpec `json:"spec"`
-	// PredNs is the cost model's host-time prediction for one
-	// invocation in this bucket.
-	PredNs float64 `json:"pred_ns"`
-	// MeasNs is the exponentially smoothed measured wall time per
-	// invocation; 0 until the first probe lands.
+	Spec StrategySpec `json:"spec"`
+	// MeasNs is the fastest measured wall time of one invocation; 0
+	// until the first probe lands.
 	MeasNs float64 `json:"meas_ns"`
-	// Probes counts timed runs folded into MeasNs.
+	// Probes counts the timed runs MeasNs is the minimum of.
 	Probes int `json:"probes"`
-	// Pruned marks candidates the model priced out of contention
-	// (> PruneRatio × best prediction); they are never probed.
-	Pruned bool `json:"pruned,omitempty"`
 }
 
 // Decision is the planner's answer for one invocation.
 type Decision struct {
-	Spec machine.StrategySpec
+	Spec StrategySpec
 	// Probe marks a calibration run: the caller should time the
 	// invocation and report it via Observe.
 	Probe bool
@@ -131,51 +138,18 @@ type Store interface {
 	StorePlan(id string, data []byte) error
 }
 
-// Config tunes the planner; the zero value selects the defaults.
-type Config struct {
-	// ProbeBudget is how many timed runs each unpruned candidate gets
-	// before the plan calibrates. Default 2.
-	ProbeBudget int
-	// PruneRatio drops candidates predicted slower than this multiple
-	// of the best prediction. Default 1.5.
-	PruneRatio float64
-	// Alpha is the exponential smoothing factor for measured times
-	// (new = alpha×sample + (1-alpha)×old). Default 0.3.
-	Alpha float64
-	// ExploreAll disables prediction-based pruning so every admissible
-	// candidate is probed — the `ngen plan` calibration tool uses it to
-	// produce complete predicted-vs-measured tables.
-	ExploreAll bool
-}
-
-func (c Config) withDefaults() Config {
-	if c.ProbeBudget <= 0 {
-		c.ProbeBudget = 2
-	}
-	if c.PruneRatio <= 0 {
-		c.PruneRatio = 1.5
-	}
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = 0.3
-	}
-	return c
-}
-
 // Planner holds the live plan table. Safe for concurrent use; forked
 // runtimes share one Planner so calibration from any worker benefits
 // all of them.
 type Planner struct {
-	cfg Config
-
 	mu    sync.Mutex
 	store Store
 	plans map[Key]*entry
 
 	decisions    atomic.Int64 // planner-routed invocations
 	probeRuns    atomic.Int64 // invocations that were calibration probes
-	installs     atomic.Int64 // plans installed (priced cold)
+	installs     atomic.Int64 // plans installed cold
 	calibrations atomic.Int64 // plans that finished calibration
-	mispredicts  atomic.Int64 // calibrated plans where measurement overruled the model
 	loads        atomic.Int64 // plans loaded from the store
 	persists     atomic.Int64 // plans written to the store
 }
@@ -189,10 +163,9 @@ type entry struct {
 	persisted  bool
 }
 
-// New creates a planner with the given configuration (zero value for
-// defaults) and no persistence.
-func New(cfg Config) *Planner {
-	return &Planner{cfg: cfg.withDefaults(), plans: map[Key]*entry{}}
+// New creates a planner with no persistence.
+func New() *Planner {
+	return &Planner{plans: map[Key]*entry{}}
 }
 
 // SetStore attaches plan persistence (nil detaches it).
@@ -204,7 +177,7 @@ func (p *Planner) SetStore(s Store) {
 
 // Decide returns the strategy to use for one invocation under key.
 // ok=false means no plan exists yet: the caller must run the default
-// strategy, then Install a priced plan and Observe that run.
+// strategy, then Install the candidates and Observe that run.
 func (p *Planner) Decide(key Key) (Decision, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -217,11 +190,11 @@ func (p *Planner) Decide(key Key) (Decision, bool) {
 	}
 	p.decisions.Add(1)
 	if !e.calibrated {
-		if idx := e.nextProbe(p.cfg.ProbeBudget); idx >= 0 {
+		if idx := e.nextProbe(); idx >= 0 {
 			p.probeRuns.Add(1)
 			return Decision{Spec: e.cands[idx].Spec, Probe: true}, true
 		}
-		// Every unpruned candidate met its budget but the closing
+		// Every candidate met its budget but the closing
 		// Observe has not arrived yet (concurrent callers): serve the
 		// current measured best meanwhile.
 		p.finishLocked(e)
@@ -229,14 +202,11 @@ func (p *Planner) Decide(key Key) (Decision, bool) {
 	return Decision{Spec: e.cands[e.chosen].Spec}, true
 }
 
-// nextProbe picks the unpruned candidate with the fewest probes, if
-// any still needs one.
-func (e *entry) nextProbe(budget int) int {
-	best, min := -1, budget
+// nextProbe picks the candidate with the fewest probes, if any still
+// needs one.
+func (e *entry) nextProbe() int {
+	best, min := -1, ProbeBudget
 	for i := range e.cands {
-		if e.cands[i].Pruned {
-			continue
-		}
 		if e.cands[i].Probes < min {
 			best, min = i, e.cands[i].Probes
 		}
@@ -244,14 +214,12 @@ func (e *entry) nextProbe(budget int) int {
 	return best
 }
 
-// Install registers a freshly priced plan for key. costs come from
-// machine.PredictStrategies on the invocation's measured op-count
-// delta; the first entry must be the default strategy the caller just
-// ran (it survives pruning unconditionally, so the planner always has
-// a safe incumbent). Install is idempotent: a concurrent or repeated
-// install for an existing key is ignored.
-func (p *Planner) Install(key Key, kernel string, costs []machine.StrategyCost) {
-	if len(costs) == 0 {
+// Install registers the admissible candidates for key. The first
+// entry must be the default strategy the caller just ran, so the
+// planner always has a safe incumbent. Install is idempotent: a
+// concurrent or repeated install for an existing key is ignored.
+func (p *Planner) Install(key Key, kernel string, specs []StrategySpec) {
+	if len(specs) == 0 {
 		return
 	}
 	p.mu.Lock()
@@ -259,28 +227,17 @@ func (p *Planner) Install(key Key, kernel string, costs []machine.StrategyCost) 
 	if _, dup := p.plans[key]; dup {
 		return
 	}
-	e := &entry{key: key, kernel: kernel, cands: make([]Candidate, len(costs))}
-	bestPred := costs[0].HostNs
-	for _, c := range costs[1:] {
-		if c.HostNs < bestPred {
-			bestPred = c.HostNs
-		}
-	}
-	for i, c := range costs {
-		e.cands[i] = Candidate{Spec: c.Spec, PredNs: c.HostNs}
-		if !p.cfg.ExploreAll && i > 0 && c.HostNs > bestPred*p.cfg.PruneRatio {
-			e.cands[i].Pruned = true
-		}
+	e := &entry{key: key, kernel: kernel, cands: make([]Candidate, len(specs))}
+	for i, s := range specs {
+		e.cands[i] = Candidate{Spec: s}
 	}
 	p.plans[key] = e
 	p.installs.Add(1)
 }
 
-// Observe folds one timed invocation into the plan. While the plan is
-// calibrating this is a probe result; afterwards it keeps smoothing
-// the incumbent's estimate (drift tracking — in memory only, the
-// persisted plan never changes).
-func (p *Planner) Observe(key Key, spec machine.StrategySpec, ns float64) {
+// Observe records one timed invocation as a probe of spec. Once the
+// plan has calibrated, observations are ignored.
+func (p *Planner) Observe(key Key, spec StrategySpec, ns float64) {
 	if ns <= 0 {
 		return
 	}
@@ -291,12 +248,10 @@ func (p *Planner) Observe(key Key, spec machine.StrategySpec, ns float64) {
 		return
 	}
 	if e.calibrated {
-		// The candidate table freezes at calibration: only probed
-		// strategies re-measure, so further smoothing would drift the
-		// chosen row against its frozen rivals — making the live table
-		// disagree with the persisted plan and with the measured-argmin
-		// invariant (`ngen plan -check`) — without ever informing a
-		// decision, since calibrated plans are final.
+		// The candidate table freezes at calibration: only the chosen
+		// strategy runs afterwards, so further samples would move its
+		// row against frozen rivals — making the live table disagree
+		// with the persisted plan — without ever informing a decision.
 		return
 	}
 	for i := range e.cands {
@@ -304,50 +259,34 @@ func (p *Planner) Observe(key Key, spec machine.StrategySpec, ns float64) {
 			continue
 		}
 		c := &e.cands[i]
-		if c.MeasNs == 0 {
+		if c.MeasNs == 0 || ns < c.MeasNs {
 			c.MeasNs = ns
-		} else {
-			c.MeasNs = p.cfg.Alpha*ns + (1-p.cfg.Alpha)*c.MeasNs
 		}
 		c.Probes++
 		break
 	}
-	if !e.calibrated && e.nextProbe(p.cfg.ProbeBudget) < 0 {
+	if e.nextProbe() < 0 {
 		p.finishLocked(e)
 	}
 }
 
 // finishLocked closes calibration: the measured argmin becomes the
-// chosen strategy, a model disagreement counts as a mispredict, and
-// the plan persists exactly once. Called with p.mu held.
+// chosen strategy and the plan persists exactly once. Called with p.mu
+// held.
 func (p *Planner) finishLocked(e *entry) {
 	if e.calibrated {
 		return
 	}
-	measBest, predBest := -1, 0
+	best := 0 // the default strategy is always probed first
 	for i := range e.cands {
 		c := &e.cands[i]
-		if c.PredNs < e.cands[predBest].PredNs {
-			predBest = i
-		}
-		if c.Pruned || c.MeasNs == 0 {
-			continue
-		}
-		if measBest < 0 || c.MeasNs < e.cands[measBest].MeasNs {
-			measBest = i
+		if c.MeasNs > 0 && (e.cands[best].MeasNs == 0 || c.MeasNs < e.cands[best].MeasNs) {
+			best = i
 		}
 	}
-	if measBest < 0 {
-		// Nothing measured (should not happen — the default strategy is
-		// always probed): keep the safe incumbent.
-		measBest = 0
-	}
-	e.chosen = measBest
+	e.chosen = best
 	e.calibrated = true
 	p.calibrations.Add(1)
-	if measBest != predBest {
-		p.mispredicts.Add(1)
-	}
 	p.persistLocked(e)
 }
 
@@ -362,7 +301,7 @@ func (p *Planner) Calibrated(key Key) bool {
 // --- persistence -------------------------------------------------------------
 
 // planFile is the persisted form: the full candidate table (so `ngen
-// plan` can render predicted-vs-measured on warm runs), the chosen
+// plan` can render the measured table on warm runs), the chosen
 // index, and an fnv-1a checksum in the disk cache's idiom.
 type planFile struct {
 	Version    int         `json:"version"`
@@ -438,14 +377,13 @@ func (p *Planner) loadLocked(key Key) (*entry, bool) {
 // --- introspection -----------------------------------------------------------
 
 // View is one plan rendered for telemetry: the chosen strategy with
-// its predicted and measured cost, plus the full candidate table.
+// its measured cost, plus the full candidate table.
 type View struct {
 	Kernel     string      `json:"kernel"`
 	Hash       string      `json:"hash"`
 	Arch       string      `json:"arch"`
 	Bucket     int         `json:"bucket"`
 	Spec       string      `json:"spec"`
-	PredNs     float64     `json:"pred_ns"`
 	MeasNs     float64     `json:"meas_ns"`
 	Calibrated bool        `json:"calibrated"`
 	Candidates []Candidate `json:"candidates,omitempty"`
@@ -461,7 +399,7 @@ func (p *Planner) Snapshot() []View {
 		v := View{
 			Kernel: e.kernel, Hash: fmt.Sprintf("%016x", e.key.Hash),
 			Arch: e.key.Arch, Bucket: e.key.Bucket,
-			Spec: c.Spec.String(), PredNs: c.PredNs, MeasNs: c.MeasNs,
+			Spec: c.Spec.String(), MeasNs: c.MeasNs,
 			Calibrated: e.calibrated,
 			Candidates: append([]Candidate(nil), e.cands...),
 		}
@@ -500,7 +438,6 @@ func (p *Planner) Stats() map[string]int64 {
 		"probes":     p.probeRuns.Load(),
 		"installs":   p.installs.Load(),
 		"calibrated": p.calibrations.Load(),
-		"mispredict": p.mispredicts.Load(),
 		"loads":      p.loads.Load(),
 		"persists":   p.persists.Load(),
 	}

@@ -2,24 +2,37 @@ package plan
 
 import (
 	"bytes"
+	"os"
 	"testing"
-
-	"repro/internal/machine"
 )
 
-func spec(b, tier string, lanes int) machine.StrategySpec {
-	return machine.StrategySpec{Backend: b, Tier: tier, Lanes: lanes}
-}
+var (
+	serial = StrategySpec{Backend: "vm", Lanes: 1}
+	native = StrategySpec{Backend: "native", Lanes: 1}
+	lanes4 = StrategySpec{Backend: "vm", Lanes: 4}
+)
 
-func costs(ns ...float64) []machine.StrategyCost {
-	specs := []machine.StrategySpec{
-		spec("vm", "opt", 1), spec("vm", "plain", 1), spec("native", "opt", 1),
+// specs is the candidate list the tests install: the default first.
+func specs() []StrategySpec { return []StrategySpec{serial, native, lanes4} }
+
+// calibrate drives key to calibration, timing each probe with ns.
+func calibrate(t *testing.T, p *Planner, key Key, ns func(s StrategySpec, probe int) float64) {
+	t.Helper()
+	probes := map[StrategySpec]int{serial: 1}
+	for i := 0; i < 16 && !p.Calibrated(key); i++ {
+		d, ok := p.Decide(key)
+		if !ok {
+			t.Fatal("Decide missed an installed plan")
+		}
+		if !d.Probe {
+			t.Fatalf("iteration %d: expected a probe while calibrating, got %v", i, d.Spec)
+		}
+		p.Observe(key, d.Spec, ns(d.Spec, probes[d.Spec]))
+		probes[d.Spec]++
 	}
-	out := make([]machine.StrategyCost, len(ns))
-	for i, n := range ns {
-		out[i] = machine.StrategyCost{Spec: specs[i], HostNs: n}
+	if !p.Calibrated(key) {
+		t.Fatal("plan never calibrated")
 	}
-	return out
 }
 
 // TestBucket pins the log2 bucketing: powers of two open their own
@@ -38,85 +51,81 @@ func TestBucket(t *testing.T) {
 
 // TestLifecycle walks one key through the planner states: unknown →
 // install → probe rotation → calibration, with the measured argmin
-// winning over the model's pick (and counting a mispredict).
+// winning and no candidate probed beyond the budget.
 func TestLifecycle(t *testing.T) {
-	p := New(Config{ProbeBudget: 2})
+	p := New()
 	key := Key{Hash: 0xfeed, Arch: "Haswell", Bucket: 10}
 	if _, ok := p.Decide(key); ok {
 		t.Fatal("Decide hit before any plan was installed")
 	}
-	// Model says native (80ns) beats opt (100) and plain (120).
-	p.Install(key, "k", costs(100, 120, 80))
-	p.Observe(key, spec("vm", "opt", 1), 100) // the cold default run
+	p.Install(key, "k", specs())
+	p.Observe(key, serial, 100) // the cold default run
 
-	seen := map[string]int{}
-	for i := 0; i < 16 && !p.Calibrated(key); i++ {
-		d, ok := p.Decide(key)
-		if !ok {
-			t.Fatal("Decide missed an installed plan")
-		}
-		if !d.Probe {
-			t.Fatalf("iteration %d: expected a probe while calibrating, got %v", i, d.Spec)
-		}
-		seen[d.Spec.String()]++
-		// Measurement disagrees with the model: opt is actually fastest.
-		ns := map[string]float64{"vm/opt/1": 90, "vm/plain/1": 200, "native/opt/1": 150}[d.Spec.String()]
-		p.Observe(key, d.Spec, ns)
-	}
-	if !p.Calibrated(key) {
-		t.Fatal("plan never calibrated")
-	}
+	seen := map[StrategySpec]int{serial: 1}
+	calibrate(t, p, key, func(s StrategySpec, _ int) float64 {
+		seen[s]++
+		return map[StrategySpec]float64{serial: 200, native: 90, lanes4: 150}[s]
+	})
 	for s, n := range seen {
-		if n > 2 {
-			t.Errorf("candidate %s probed %d times, budget is 2", s, n)
+		if n != ProbeBudget {
+			t.Errorf("candidate %s probed %d times, budget is %d", s, n, ProbeBudget)
 		}
 	}
 	d, ok := p.Decide(key)
 	if !ok || d.Probe {
 		t.Fatalf("calibrated Decide = %+v, %v", d, ok)
 	}
-	if d.Spec != spec("vm", "opt", 1) {
+	if d.Spec != native {
 		t.Fatalf("measured argmin lost: chose %v", d.Spec)
-	}
-	if got := p.Stats()["mispredict"]; got != 1 {
-		t.Fatalf("model was overruled but mispredict = %d", got)
 	}
 }
 
-// TestPruning: a candidate predicted beyond PruneRatio × best is never
-// probed, and the default (index 0) survives any prediction.
-func TestPruning(t *testing.T) {
-	p := New(Config{ProbeBudget: 1, PruneRatio: 1.5})
-	key := Key{Hash: 1, Arch: "A", Bucket: 4}
-	// Best is native (100); plain at 200 exceeds 1.5× and is pruned;
-	// the default stays despite predicting 3× the best.
-	p.Install(key, "k", costs(300, 200, 100))
-	p.Observe(key, spec("vm", "opt", 1), 300)
-	for i := 0; i < 8 && !p.Calibrated(key); i++ {
-		d, ok := p.Decide(key)
-		if !ok {
-			t.Fatal("miss")
+// TestEveryCandidateProbed: every installed candidate is probed, however slow
+// it measures — there is no model to rule a strategy out unmeasured.
+func TestEveryCandidateProbed(t *testing.T) {
+	p := New()
+	key := Key{Hash: 9, Arch: "A", Bucket: 1}
+	p.Install(key, "k", specs())
+	p.Observe(key, serial, 100)
+	calibrate(t, p, key, func(s StrategySpec, _ int) float64 {
+		if s == lanes4 {
+			return 1e9
 		}
-		if d.Probe && d.Spec == spec("vm", "plain", 1) {
-			t.Fatal("pruned candidate was probed")
-		}
-		p.Observe(key, d.Spec, 100)
-	}
-	if !p.Calibrated(key) {
-		t.Fatal("never calibrated")
-	}
-	v := p.Snapshot()[0]
-	var prunedOK bool
-	for _, c := range v.Candidates {
-		if c.Spec == spec("vm", "plain", 1) {
-			prunedOK = c.Pruned && c.Probes == 0
-		}
-		if c.Spec == spec("vm", "opt", 1) && c.Pruned {
-			t.Fatal("the default strategy must never be pruned")
+		return 50
+	})
+	for _, c := range p.Snapshot()[0].Candidates {
+		if c.Probes != ProbeBudget {
+			t.Errorf("%s probed %d times, want %d", c.Spec, c.Probes, ProbeBudget)
 		}
 	}
-	if !prunedOK {
-		t.Fatal("2×-best candidate escaped the 1.5× prune")
+}
+
+// TestColdFirstProbeDoesNotDecide: a candidate whose first probe runs
+// 10× its warm time (cold caches, first plugin call) must still win
+// when its warm time is the fastest. Each candidate is scored by its
+// fastest probe, so the cold sample cannot outvote the warm one.
+func TestColdFirstProbeDoesNotDecide(t *testing.T) {
+	p := New()
+	key := Key{Hash: 5, Arch: "A", Bucket: 7}
+	p.Install(key, "k", specs())
+	p.Observe(key, serial, 300) // cold install run
+	calibrate(t, p, key, func(s StrategySpec, probe int) float64 {
+		switch {
+		case s == native && probe == 0:
+			return 1000 // cold first call: 10× the warm time
+		case s == native:
+			return 100
+		default:
+			return 200
+		}
+	})
+	d, _ := p.Decide(key)
+	if d.Spec != native {
+		t.Fatalf("cold first sample decided the plan: chose %v, want %v (table %+v)",
+			d.Spec, native, p.Snapshot()[0].Candidates)
+	}
+	if got := p.Snapshot()[0].MeasNs; got != 100 {
+		t.Fatalf("chosen row reads %v ns, want its fastest probe 100", got)
 	}
 }
 
@@ -142,29 +151,26 @@ func (s *memStore) StorePlan(id string, b []byte) error {
 // (write-once — the determinism gate depends on it).
 func TestPersistence(t *testing.T) {
 	st := &memStore{}
-	p := New(Config{ProbeBudget: 1})
+	p := New()
 	p.SetStore(st)
 	key := Key{Hash: 0xabc, Arch: "Haswell", Bucket: 12}
-	p.Install(key, "k", costs(100, 120, 90))
-	p.Observe(key, spec("vm", "opt", 1), 100)
-	for i := 0; i < 8 && !p.Calibrated(key); i++ {
-		d, _ := p.Decide(key)
-		p.Observe(key, d.Spec, 100+float64(i))
-	}
-	if !p.Calibrated(key) || st.stores != 1 {
-		t.Fatalf("calibrated=%v stores=%d", p.Calibrated(key), st.stores)
+	p.Install(key, "k", specs())
+	p.Observe(key, serial, 100)
+	calibrate(t, p, key, func(s StrategySpec, probe int) float64 { return 100 + float64(probe) })
+	if st.stores != 1 {
+		t.Fatalf("stores=%d", st.stores)
 	}
 	frozen := append([]byte(nil), st.m[key.ID()]...)
 
 	// Warm planner: loads, decides without probing, never rewrites.
-	p2 := New(Config{ProbeBudget: 1})
+	p2 := New()
 	p2.SetStore(st)
 	d, ok := p2.Decide(key)
 	if !ok || d.Probe {
 		t.Fatalf("warm Decide = %+v, %v", d, ok)
 	}
 	for i := 0; i < 4; i++ {
-		p2.Observe(key, d.Spec, 80) // post-calibration drift tracking
+		p2.Observe(key, d.Spec, 80) // ignored: the plan is final
 		p2.Decide(key)
 	}
 	if st.stores != 1 || !bytes.Equal(st.m[key.ID()], frozen) {
@@ -183,46 +189,67 @@ func TestPersistence(t *testing.T) {
 func TestCorruptPlanIgnored(t *testing.T) {
 	st := &memStore{m: map[string][]byte{}}
 	key := Key{Hash: 2, Arch: "A", Bucket: 3}
-	st.m[key.ID()] = []byte(`{"version":1,"hash":"junk"`)
-	p := New(Config{})
+	st.m[key.ID()] = []byte(`{"version":2,"hash":"junk"`)
+	p := New()
 	p.SetStore(st)
 	if _, ok := p.Decide(key); ok {
 		t.Fatal("corrupt plan served a decision")
 	}
 	// A valid file under the wrong key must also miss.
 	other := Key{Hash: 3, Arch: "A", Bucket: 3}
-	p2 := New(Config{ProbeBudget: 1})
+	p2 := New()
 	p2.SetStore(st)
-	p2.Install(other, "k", costs(100, 120, 90))
-	p2.Observe(other, spec("vm", "opt", 1), 100)
-	for i := 0; i < 8 && !p2.Calibrated(other); i++ {
-		d, _ := p2.Decide(other)
-		p2.Observe(other, d.Spec, 100)
-	}
-	raw := st.m[other.ID()]
-	st.m[key.ID()] = raw
-	p3 := New(Config{})
+	p2.Install(other, "k", specs())
+	p2.Observe(other, serial, 100)
+	calibrate(t, p2, other, func(StrategySpec, int) float64 { return 100 })
+	st.m[key.ID()] = st.m[other.ID()]
+	p3 := New()
 	p3.SetStore(st)
 	if _, ok := p3.Decide(key); ok {
 		t.Fatal("plan for another key was accepted")
 	}
 }
 
-// TestExploreAll: with pruning disabled every candidate is probed.
-func TestExploreAll(t *testing.T) {
-	p := New(Config{ProbeBudget: 1, ExploreAll: true})
-	key := Key{Hash: 9, Arch: "A", Bucket: 1}
-	p.Install(key, "k", costs(100, 1e9, 90)) // plain absurdly slow in the model
-	p.Observe(key, spec("vm", "opt", 1), 100)
-	probed := map[string]bool{}
-	for i := 0; i < 8 && !p.Calibrated(key); i++ {
-		d, _ := p.Decide(key)
-		if d.Probe {
-			probed[d.Spec.String()] = true
-		}
-		p.Observe(key, d.Spec, 50)
+// TestV1PlanFileIgnored: a version-1 plan file, as the previous
+// planner wrote it (model predictions in pred_ns, a pruned candidate,
+// a lowering tier in every spec, a valid checksum), is not served —
+// its specs name strategies that no longer exist — and the key
+// calibrates afresh and overwrites it with a current-version plan.
+func TestV1PlanFileIgnored(t *testing.T) {
+	raw, err := os.ReadFile("testdata/v1_plan.json")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !probed["vm/plain/1"] || !probed["native/opt/1"] {
-		t.Fatalf("ExploreAll skipped candidates: %v", probed)
+	for _, field := range []string{`"version":1`, `"pred_ns"`, `"pruned":true`, `"tier":"plain"`} {
+		if !bytes.Contains(raw, []byte(field)) {
+			t.Fatalf("fixture lacks %s", field)
+		}
+	}
+	key := Key{Hash: 0x3bfae86436e89609, Arch: "Haswell", Bucket: 14}
+	st := &memStore{m: map[string][]byte{key.ID(): raw}}
+	p := New()
+	p.SetStore(st)
+	if d, ok := p.Decide(key); ok {
+		t.Fatalf("v1 plan served a decision: %+v", d)
+	}
+	if got := p.Stats()["loads"]; got != 0 {
+		t.Fatalf("loads = %d, want 0", got)
+	}
+	p.Install(key, "saxpy", specs())
+	p.Observe(key, serial, 100)
+	calibrate(t, p, key, func(s StrategySpec, _ int) float64 {
+		if s == lanes4 {
+			return 40
+		}
+		return 100
+	})
+	if st.stores != 1 || bytes.Equal(st.m[key.ID()], raw) {
+		t.Fatalf("stores = %d; v1 file overwritten: %v", st.stores, !bytes.Equal(st.m[key.ID()], raw))
+	}
+	p2 := New()
+	p2.SetStore(st)
+	d, ok := p2.Decide(key)
+	if !ok || d.Probe || d.Spec != lanes4 {
+		t.Fatalf("rebuilt plan reloads as %+v, %v; want %v", d, ok, lanes4)
 	}
 }

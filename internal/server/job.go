@@ -70,9 +70,9 @@ type Record struct {
 	// over.
 	Resumed bool `json:"resumed,omitempty"`
 	// Plan records the adaptive planner's decisions touching this job
-	// (per kernel × size bucket: chosen strategy, predicted and
-	// measured cost, full candidate table). Empty when the planner is
-	// off or the job executed nothing.
+	// (per kernel × size bucket: chosen strategy, measured cost, full
+	// candidate table). Empty when the planner is off or the job
+	// executed nothing.
 	Plan       []plan.View `json:"plan,omitempty"`
 	CreatedNS  int64       `json:"created_ns"`
 	StartedNS  int64       `json:"started_ns,omitempty"`

@@ -59,8 +59,8 @@ type Config struct {
 	// failed — the pre-resume behavior.
 	Resume bool
 	// Plan controls the adaptive execution planner ("" or "auto"
-	// enables it — per kernel × size bucket the daemon calibrates and
-	// picks the fastest backend/tier/lanes, persisting plans in
+	// enables it — per kernel × size bucket the daemon measures and
+	// picks the fastest backend/lanes, persisting plans in
 	// CacheDir; "off" pins the static interpreter path). Results are
 	// byte-identical either way; see docs/PLANNER.md.
 	Plan string
